@@ -34,13 +34,21 @@ from .store import (
 
 
 def _write_jsonl(path, records):
+    """Write records as JSON lines; a file target is replaced atomically, so a crash leaves the old one."""
     if path is None or path == "-":
         for r in records:
             print(json.dumps(r))
         return
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(r) + "\n")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            for r in records:
+                fh.write(json.dumps(r) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_jsonl(path):
@@ -103,25 +111,28 @@ def cmd_reproduce(args):
         path.write_text(text)
 
     records = []
+    raw_configs: dict[str, dict[int, dict]] = {}  # slug -> job_id -> raw config
     for v in verdicts:
         if v.image_ref is None:
             continue
         slug = v.pair.project.slug
-        raw_configs = {
-            j["job_id"]: j["config"]
-            for r in connector.fetch_raw_records(slug)
-            for j in r.get("jobs", [])
-        }
-        ctx = ReproductionContext(
-            connector=connector,
-            runtime=runtime,
-            language=v.pair.project.primary_language,
-            raw_configs=raw_configs,
-            scratch_dir=Path(tempfile.mkdtemp(prefix="failpass-scratch-")),
-            timeout_s=args.timeout_s,
-            log_sink=log_sink,
-        )
-        records.append(stability_protocol(v.pair, v, ctx, n=args.repeats))
+        if slug not in raw_configs:
+            raw_configs[slug] = {
+                j["job_id"]: j["config"]
+                for r in connector.fetch_raw_records(slug)
+                for j in r.get("jobs", [])
+            }
+        with tempfile.TemporaryDirectory(prefix="failpass-scratch-", ignore_cleanup_errors=True) as scratch:
+            ctx = ReproductionContext(
+                connector=connector,
+                runtime=runtime,
+                language=v.pair.project.primary_language,
+                raw_configs=raw_configs[slug],
+                scratch_dir=Path(scratch),
+                timeout_s=args.timeout_s,
+                log_sink=log_sink,
+            )
+            records.append(stability_protocol(v.pair, v, ctx, n=args.repeats))
     _write_jsonl(args.out, [r.to_dict() for r in records])
     for r in records:
         print(f"{r.pair_id}: {r.stability}" + (f" ({r.category})" if r.category else ""), file=sys.stderr)
@@ -184,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verdicts", required=True)
     p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
     p.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S)
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (reserved)")
     p.add_argument("--out", default="-")
     p.add_argument("--output-dir", default="output", help="reproduced log directory")
     p.add_argument("--fixture")

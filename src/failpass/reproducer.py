@@ -13,7 +13,8 @@ import re
 import shlex
 import shutil
 import tempfile
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -267,11 +268,56 @@ class ReproductionContext:
         return analyzer.analyze(text, self.language)
 
 
+class PairInputs:
+    """What every attempt of one pair shares, prepared once per pair.
+
+    The original logs are parsed up front. Each side's pristine tree is built
+    under ``pair_dir`` on the first attempt that needs it and copied in full
+    (``.git`` included, no hardlinks) into every attempt, so a job that edits
+    its tree cannot affect a later attempt. A tree that cannot be built fails
+    the same way every time, so its ``ReproductionError`` is kept as well.
+    """
+
+    def __init__(self, pair: JobPair, ctx: ReproductionContext, pair_dir: Path):
+        self.originals = {
+            "fail": ctx.original_attributes(pair.failed_job.job_id),
+            "pass": ctx.original_attributes(pair.passed_job.job_id),
+        }
+        self._pair = pair
+        self._connector = ctx.connector
+        self._pair_dir = Path(pair_dir)
+        self._trees: dict[str, WorkTree | ReproductionError] = {}
+
+    def worktree(self, side: str, dest: Path) -> WorkTree:
+        """A fresh copy of the side's tree at ``dest``; raises ReproductionError if it cannot be built."""
+        if side not in self._trees:
+            coords = self._pair.failed_commits if side == "fail" else self._pair.passed_commits
+            slug = self._pair.project.slug
+            archive_fetch = lambda sha, d: self._connector.fetch_archive_snapshot(slug, sha, d)
+            try:
+                self._trees[side] = revert_project(coords, self._connector.repo_path(slug), archive_fetch,
+                                                   self._pair_dir / side)
+            except ReproductionError as exc:
+                self._trees[side] = exc
+        tree = self._trees[side]
+        if isinstance(tree, ReproductionError):
+            raise ReproductionError(str(tree), tree.reason)
+        shutil.copytree(tree.root, dest, symlinks=True)
+        return replace(tree, root=dest)
+
+
+@contextmanager
+def pair_inputs(pair: JobPair, ctx: ReproductionContext):
+    """PairInputs whose trees live in a temporary directory removed on exit."""
+    with tempfile.TemporaryDirectory(prefix="failpass-pair-") as pair_dir:
+        yield PairInputs(pair, ctx, Path(pair_dir))
+
+
 def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str,
-                  workdir: Path) -> SideResult:
+                  workdir: Path, inputs: PairInputs) -> SideResult:
     job = pair.failed_job if side == "fail" else pair.passed_job
     coords = pair.failed_commits if side == "fail" else pair.passed_commits
-    original = ctx.original_attributes(job.job_id)
+    original = inputs.originals[side]
     if original is None:
         return SideResult(matched=False, reason="original log absent")
     config = ctx.raw_configs.get(job.job_id)
@@ -281,11 +327,8 @@ def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str
         script = generate_job_script(config, coords.trigger_sha or coords.merge_sha, side=side)
     except ReproductionError as exc:
         return SideResult(matched=False, reason=exc.reason)
-    repo = ctx.connector.repo_path(pair.project.slug)
-    archive_fetch = lambda sha, dest: ctx.connector.fetch_archive_snapshot(pair.project.slug, sha, dest)
-    tree_dir = workdir / side
     try:
-        worktree = revert_project(coords, repo, archive_fetch, tree_dir)
+        worktree = inputs.worktree(side, workdir / side)
     except ReproductionError as exc:
         return SideResult(matched=False, reason=exc.reason)
     env = {"FAILPASS_SCRATCH": str(ctx.scratch_dir)} if ctx.scratch_dir else None
@@ -299,22 +342,26 @@ def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str
 
 
 def attempt_pair(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionContext,
-                 attempt_index: int = 0) -> tuple[SideResult, SideResult]:
-    """One reproduction attempt: both sides in fresh worktrees."""
+                 attempt_index: int = 0, inputs: Optional[PairInputs] = None) -> tuple[SideResult, SideResult]:
+    """One reproduction attempt: both sides in fresh worktrees.
+
+    Without ``inputs`` the attempt prepares its own and removes them afterwards.
+    """
     if verdict.image_ref is None:
         raise ValueError("pair did not reach the with_image stage")
+    if inputs is None:
+        with pair_inputs(pair, ctx) as own:
+            return attempt_pair(pair, verdict, ctx, attempt_index, own)
     image = f"{verdict.image_ref.registry}/{verdict.image_ref.name}:{verdict.image_ref.tag}"
-    workdir = Path(tempfile.mkdtemp(prefix="failpass-attempt-"))
-    try:
-        fail_result = _attempt_side(pair, "fail", ctx, image, workdir)
-        pass_result = _attempt_side(pair, "pass", ctx, image, workdir)
-        if ctx.log_sink is not None:
-            for side, res in (("fail", fail_result), ("pass", pass_result)):
-                if res.outcome is not None:
-                    ctx.log_sink(pair_id(pair), attempt_index, side, res.outcome.log_text)
-        return fail_result, pass_result
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
+    # files a job leaves may not be removable (say, root-owned ones from a container); they stay, the run goes on
+    with tempfile.TemporaryDirectory(prefix="failpass-attempt-", ignore_cleanup_errors=True) as workdir:
+        fail_result = _attempt_side(pair, "fail", ctx, image, Path(workdir), inputs)
+        pass_result = _attempt_side(pair, "pass", ctx, image, Path(workdir), inputs)
+    if ctx.log_sink is not None:
+        for side, res in (("fail", fail_result), ("pass", pass_result)):
+            if res.outcome is not None:
+                ctx.log_sink(pair_id(pair), attempt_index, side, res.outcome.log_text)
+    return fail_result, pass_result
 
 
 def pair_id(pair: JobPair) -> str:
@@ -341,16 +388,16 @@ def stability_protocol(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionC
         raise ValueError("n must be >= 1")
     attempts: list[tuple[bool, bool]] = []
     last_fail: Optional[SideResult] = None
-    for k in range(n):
-        fail_result, pass_result = attempt_pair(pair, verdict, ctx, attempt_index=k)
-        attempts.append((fail_result.matched, pass_result.matched))
-        last_fail = fail_result
+    with pair_inputs(pair, ctx) as inputs:
+        for k in range(n):
+            fail_result, pass_result = attempt_pair(pair, verdict, ctx, attempt_index=k, inputs=inputs)
+            attempts.append((fail_result.matched, pass_result.matched))
+            last_fail = fail_result
     stability = stability_from_attempts(attempts)
     category = None
     reason = None
     if stability != "unreproducible":
-        original = ctx.original_attributes(pair.failed_job.job_id)
-        category = classify_reproduced(original)
+        category = classify_reproduced(inputs.originals["fail"])
     else:
         log_text = last_fail.outcome.log_text if last_fail and last_fail.outcome else ""
         timed_out = bool(last_fail and last_fail.outcome and last_fail.outcome.timed_out)

@@ -1,9 +1,11 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from failpass.cli import main
+from failpass.cli import _write_jsonl, main
+from failpass.connector import FixtureConnector
 from failpass.runtime import LocalRuntime, RuntimeUnavailable
 from failpass.store import ArtifactStore
 from test_reproducer import stub_docker
@@ -89,6 +91,66 @@ class TestMineFilterPipeline:
             main(["reproduce", "--verdicts", str(verdicts), "--fixture", str(e2e_root),
                   "--repeats", "2", "--out", str(records), "--output-dir", str(tmp_path / "output")])
         assert not records.exists()
+
+
+    def test_reproduce_removes_its_temp_dirs(self, e2e_root, catalog_path, tmp_path, monkeypatch):
+        monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setenv("TMPDIR", str(tmp))
+        monkeypatch.setattr(tempfile, "tempdir", None)
+        pairs = tmp_path / "pairs.jsonl"
+        verdicts = tmp_path / "verdicts.jsonl"
+        records = tmp_path / "records.jsonl"
+        main(["mine", "acme/flaky", "--fixture", str(e2e_root),
+              "--language", "python", "--out", str(pairs)])
+        main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
+              "--fixture", str(e2e_root), "--out", str(verdicts)])
+        rc = main(["reproduce", "--verdicts", str(verdicts), "--fixture", str(e2e_root),
+                   "--repeats", "2", "--timeout-s", "60", "--out", str(records),
+                   "--output-dir", str(tmp_path / "output")])
+        assert rc == 0
+        # the per-pair scratch dir is shared by the attempts, so the flaky pair still shows
+        assert [r["stability"] for r in read_jsonl(records)] == ["flaky"]
+        assert [p.name for p in tmp.iterdir() if p.name.startswith("failpass-")] == []
+
+    def test_reproduce_reads_raw_configs_once_per_project(self, e2e_root, catalog_path, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
+        reads = []
+        real = FixtureConnector.fetch_raw_records
+        monkeypatch.setattr(FixtureConnector, "fetch_raw_records",
+                            lambda self, slug: reads.append(slug) or real(self, slug))
+        pairs = tmp_path / "pairs.jsonl"
+        verdicts = tmp_path / "verdicts.jsonl"
+        records = tmp_path / "records.jsonl"
+        main(["mine", "acme/pyproj", "--fixture", str(e2e_root),
+              "--language", "python", "--out", str(pairs)])
+        main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
+              "--fixture", str(e2e_root), "--out", str(verdicts)])
+        verdicts.write_text(verdicts.read_text() * 2)
+        main(["reproduce", "--verdicts", str(verdicts), "--fixture", str(e2e_root),
+              "--repeats", "1", "--timeout-s", "60", "--out", str(records),
+              "--output-dir", str(tmp_path / "output")])
+        assert [r["stability"] for r in read_jsonl(records)] == ["reproducible"] * 2
+        assert reads == ["acme/pyproj"]
+
+
+class TestWriteJsonl:
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        _write_jsonl(out, [{"pair_id": "a"}])
+        with pytest.raises(TypeError):
+            _write_jsonl(out, [{"pair_id": "b"}, {"pair_id": object()}])
+        assert read_jsonl(out) == [{"pair_id": "a"}]
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
+
+    def test_replaces_the_previous_file(self, tmp_path):
+        out = tmp_path / "records.jsonl"
+        _write_jsonl(out, [{"pair_id": "a"}, {"pair_id": "b"}])
+        _write_jsonl(str(out), [{"pair_id": "c"}])
+        assert read_jsonl(out) == [{"pair_id": "c"}]
+        assert [p.name for p in tmp_path.iterdir()] == ["records.jsonl"]
 
 
 class TestAnalyze:

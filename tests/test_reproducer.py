@@ -1,10 +1,14 @@
+import dataclasses
 import itertools
 import os
+import tempfile
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from failpass import analyzer
+from failpass import analyzer, reproducer
 from failpass.connector import FixtureConnector
 from failpass.miner import mine
 from failpass.model import (
@@ -35,7 +39,19 @@ from failpass.runtime import (
     RuntimeUnavailable,
     default_runtime,
 )
-from conftest import add_branch, fake_sha, make_repo, make_zip
+from conftest import (
+    PYTEST_FAIL_BODY,
+    PYTEST_PASS_BODY,
+    add_branch,
+    build_record,
+    fake_sha,
+    git,
+    job_record,
+    make_repo,
+    make_zip,
+    wrap_original_log,
+    write_project,
+)
 
 RUNTIME = LocalRuntime()
 
@@ -337,3 +353,104 @@ class TestEndToEnd:
 
     def test_default_repeat_count(self):
         assert DEFAULT_REPEATS == 5
+
+
+def _edit_checking_script(body: str, exit_code: int) -> str:
+    """A job that needs .git, fails if its tracked state.txt was already edited, then edits it."""
+    return (
+        "#!/bin/sh\n"
+        "[ -d .git ] || { echo 'no .git in the worktree'; exit 3; }\n"
+        "[ \"$(cat state.txt)\" = clean ] || { echo 'worktree already used'; exit 3; }\n"
+        "echo used >> state.txt\n"
+        f"cat <<'EOG'\n{body}EOG\nexit {exit_code}\n"
+    )
+
+
+@pytest.fixture()
+def edit_root(tmp_path) -> Path:
+    """One push-built python pair whose jobs edit a tracked file in place."""
+    root = tmp_path / "edit-world"
+    slug = "acme/editor"
+    shas = make_repo(root / slug / "repo", [
+        {"run_tests.sh": _edit_checking_script(PYTEST_FAIL_BODY, 1), "state.txt": "clean\n"},
+        {"run_tests.sh": _edit_checking_script(PYTEST_PASS_BODY, 0)},
+    ])
+    cfg = {"language": "python", "script": ["./run_tests.sh"]}
+    builds = [
+        build_record(401, "failed", "push", "master", "2017-02-01T00:00:00Z",
+                     [job_record(4001, "failed", cfg)], trigger_sha=shas[0]),
+        build_record(402, "passed", "push", "master", "2017-02-02T00:00:00Z",
+                     [job_record(4002, "passed", cfg)], trigger_sha=shas[1]),
+    ]
+    write_project(root, slug, builds, {4001: wrap_original_log(PYTEST_FAIL_BODY, 1),
+                                       4002: wrap_original_log(PYTEST_PASS_BODY, 0)})
+    return root
+
+
+def _counting(monkeypatch, owner, name, key):
+    """Replace owner.name with a wrapper that counts calls by key(args); returns the counter."""
+    calls = Counter()
+    real = getattr(owner, name)
+
+    def wrapper(*args):
+        calls[key(args)] += 1
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestSharedPairInputs:
+    def test_each_side_tree_built_once(self, e2e_root, catalog_path, tmp_path, monkeypatch):
+        built = _counting(monkeypatch, reproducer, "revert_project", lambda a: Path(a[3]).name)
+        pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
+        ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        assert record.attempts == [(True, True)] * 5
+        assert built == {"fail": 1, "pass": 1}
+
+    def test_original_logs_parsed_once_per_job(self, e2e_root, catalog_path, tmp_path, monkeypatch):
+        parsed = _counting(monkeypatch, ReproductionContext, "original_attributes", lambda a: a[1])
+        pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
+        ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        assert record.category == "with_failed_test"
+        assert parsed == {2001: 1, 2002: 1}
+
+    def test_every_attempt_gets_a_fresh_tree(self, edit_root, catalog_path, tmp_path):
+        pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
+        ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        assert record.stability == "reproducible"
+        assert record.attempts == [(True, True)] * 5
+
+    def test_conflicting_phantom_merge_tried_once(self, e2e_root, catalog_path, tmp_path, monkeypatch):
+        # the pass side stays on the project's history; the fail side merges two branches that clash
+        repo = tmp_path / "conflict-repo"
+        git(tmp_path, "clone", "-q", str(e2e_root / "acme" / "pyproj" / "repo"), str(repo))
+        head = git(repo, "rev-parse", "HEAD").stdout.strip()
+        (base,) = add_branch(repo, "base", head, [{"a": "base\n"}])
+        (feature,) = add_branch(repo, "feature", head, [{"a": "feature\n"}])
+        pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
+        conflicting = CommitCoordinates(trigger_sha=feature, base_sha=base,
+                                        availability=Availability.AVAILABLE,
+                                        recovery_source=RecoverySource.GIT_HISTORY)
+        pair = dataclasses.replace(pair, failed_commits=conflicting)
+        verdict = dataclasses.replace(verdict, pair=pair)
+        ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
+        monkeypatch.setattr(ctx.connector, "repo_path", lambda slug: repo)
+        merges = _counting(monkeypatch, reproducer, "merge_tree", lambda a: a[1])
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        assert merges == {base: 1}
+        assert (record.stability, record.unreproducibility_reason) == ("unreproducible", "project_specific")
+        assert record.attempts == [(False, True)] * 5
+
+    def test_single_attempt_removes_its_trees(self, e2e_root, catalog_path, tmp_path, monkeypatch):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        pair, verdict = _mined_verdict(e2e_root, "acme/javaproj", "java", catalog_path)
+        ctx = _context_for(e2e_root, "acme/javaproj", "java", tmp_path)
+        fail_result, pass_result = attempt_pair(pair, verdict, ctx)
+        assert fail_result.matched and pass_result.matched
+        assert list(tmp.iterdir()) == []
