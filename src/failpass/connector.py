@@ -173,9 +173,14 @@ def commit_exists(repo: os.PathLike, sha: str) -> bool:
 
 
 def clone_at(repo: os.PathLike, sha: str, dest: os.PathLike) -> Path:
-    """Clone a local repository and hard-reset the tree to sha."""
+    """Clone a local repository and hard-reset the tree to sha.
+
+    The empty template leaves out git's inactive sample hooks, which every
+    per-attempt copy of the tree would otherwise copy too.
+    """
     dest = Path(dest)
-    subprocess.run(["git", "clone", "--quiet", str(repo), str(dest)], capture_output=True, text=True, check=True)
+    subprocess.run(["git", "clone", "--quiet", "--template=", str(repo), str(dest)],
+                   capture_output=True, text=True, check=True)
     _git(dest, "checkout", "--quiet", sha)
     return dest
 

@@ -9,9 +9,9 @@ addition plus one deletion).
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import fcntl
 import json
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -119,24 +119,40 @@ def _tree_files(root: Path) -> dict[str, Path]:
     return out
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
-    prev = [0] * (len(b) + 1)
-    for line in a:
-        cur = [0] * (len(b) + 1)
-        for j, other in enumerate(b):
-            cur[j + 1] = prev[j] + 1 if line == other else max(prev[j + 1], cur[j])
-        prev = cur
-    return prev[-1]
+def _edit_distance(a: list[str], b: list[str]) -> int:
+    """Fewest line insertions plus deletions turning a into b (Myers 1986).
+
+    The greedy O((N+M)D) search keeps, per diagonal k = x - y, the furthest
+    x reachable with d edits, and stops at the first d that reaches (N, M).
+    Only D is wanted, so there is no edit script and one V array.
+    """
+    n, m = len(a), len(b)
+    offset = n + m + 1
+    v = [0] * (2 * (n + m) + 3)
+    for d in range(n + m + 1):
+        for k in range(-d, d + 1, 2):
+            if k == -d or (k != d and v[offset + k - 1] < v[offset + k + 1]):
+                x = v[offset + k + 1]
+            else:
+                x = v[offset + k - 1] + 1
+            y = x - k
+            while x < n and y < m and a[x] == b[y]:
+                x += 1
+                y += 1
+            v[offset + k] = x
+            if x >= n and y >= m:
+                return d
+    raise AssertionError("unreachable: d = N + M always reaches (N, M)")
 
 
 def _line_changes(a: list[str], b: list[str]) -> int:
-    """Added + deleted lines under an exact LCS line diff.
+    """Added + deleted lines under an exact minimal line diff.
 
     additions + deletions = len(a) + len(b) - 2*LCS, so the count is
-    well defined regardless of how a particular diff lays out hunks.
-    Oversized pairs fall back to difflib's near-LCS matcher.
+    well defined regardless of how a particular diff lays out hunks, and
+    equals `git diff --minimal --numstat` at every size.
     """
-    # common prefix/suffix trimming keeps the DP small for typical edits
+    # common prefix/suffix trimming keeps the search small for typical edits
     lo = 0
     while lo < len(a) and lo < len(b) and a[lo] == b[lo]:
         lo += 1
@@ -145,13 +161,14 @@ def _line_changes(a: list[str], b: list[str]) -> int:
         hi += 1
     a = a[lo:len(a) - hi]
     b = b[lo:len(b) - hi]
-    if not a or not b:
-        return len(a) + len(b)
-    if len(a) * len(b) > 4_000_000:
-        lcs = sum(block.size for block in difflib.SequenceMatcher(a=a, b=b, autojunk=False).get_matching_blocks())
-    else:
-        lcs = _lcs_length(a, b)
-    return len(a) + len(b) - 2 * lcs
+    # A line that never occurs on the other side is in no common
+    # subsequence, so it is a change under every alignment; dropping it
+    # keeps the count exact and shrinks the search for rewritten files.
+    in_a, in_b = set(a), set(b)
+    kept_a = [line for line in a if line in in_b]
+    kept_b = [line for line in b if line in in_a]
+    dropped = len(a) - len(kept_a) + len(b) - len(kept_b)
+    return dropped + _edit_distance(kept_a, kept_b)
 
 
 def compute_diff_metrics(failing_tree: Path, passing_tree: Path) -> tuple[int, int]:
@@ -246,12 +263,14 @@ class QueryParseError(StoreError):
         self.position = position
 
 
+_OPERATORS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def _record_value(record: ArtifactMetadata, dotted: str):
-    obj = record.to_dict()
+    obj = record
     for part in dotted.split("."):
-        if not isinstance(obj, dict) or part not in obj:
-            return None
-        obj = obj[part]
+        obj = getattr(obj, part, None)
     return obj
 
 
@@ -309,25 +328,19 @@ def parse_query(expression: str):
                 raw = float(raw) if "." in raw else int(raw)
             except ValueError:
                 raise QueryParseError(f"expected a number, got {raw!r}", pos)
-        terms.append((fld, op, raw))
+        else:
+            raw = raw.lower()
+        terms.append((fld, _OPERATORS[op], raw))
         pos = m.end()
 
     def predicate(record: ArtifactMetadata) -> bool:
-        for fld, op, rhs in terms:
+        for fld, compare, rhs in terms:
             value = _record_value(record, fld)
             if value is None:
                 return False
             if isinstance(value, str):
-                value, rhs = value.lower(), str(rhs).lower()
-            ok = {
-                "=": value == rhs,
-                "!=": value != rhs,
-                "<": value < rhs,
-                "<=": value <= rhs,
-                ">": value > rhs,
-                ">=": value >= rhs,
-            }[op]
-            if not ok:
+                value = value.lower()
+            if not compare(value, rhs):
                 return False
         return True
 

@@ -83,6 +83,13 @@ class TestCommitExists:
         tree = clone_at(repo, shas[0], tmp_path / "co")
         assert (tree / "f").read_text() == "1\n"
 
+    def test_clone_has_no_sample_hooks_and_is_clean(self, tmp_path):
+        repo = tmp_path / "repo"
+        shas = make_repo(repo, [{"f": "1\n"}, {"f": "2\n"}])
+        tree = clone_at(repo, shas[0], tmp_path / "co")
+        assert list((tree / ".git").glob("hooks/*.sample")) == []
+        assert git(tree, "status", "--porcelain").stdout == ""
+
 
 class TestArchiveSnapshot:
     def test_archived_sha_extracts(self, widgets_root, tmp_path):

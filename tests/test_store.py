@@ -3,7 +3,7 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from failpass.store import (
     ArtifactMetadata,
@@ -14,6 +14,7 @@ from failpass.store import (
     QueryParseError,
     SideInfo,
     StoreError,
+    _line_changes,
     artifact_cleanup,
     artifact_fetch,
     artifact_shell,
@@ -170,6 +171,59 @@ class TestDiffMetrics:
             got = compute_diff_metrics(a, b)
             want = git_numstat_oracle(a, b, case_dir)
             assert got == want, f"case {case}: {got} != {want}"
+
+    def test_matches_git_oracle_on_large_small_vocabulary_file(self, tmp_path):
+        # Over 4M line pairs, and a 3-line vocabulary gives many equally long
+        # matching runs, on which a near-minimal matcher such as difflib's
+        # overcounts.
+        rng = random.Random(7)
+        vocab = ["a", "b", "c"]
+        base = [rng.choice(vocab) for _ in range(2100)]
+        mutated = list(base)
+        for _ in range(400):
+            op = rng.random()
+            if op < 1 / 3:
+                del mutated[rng.randrange(len(mutated))]
+            elif op < 2 / 3:
+                mutated.insert(rng.randrange(len(mutated) + 1), rng.choice(vocab))
+            else:
+                mutated[rng.randrange(len(mutated))] = rng.choice(vocab)
+        a = write_tree(tmp_path / "a", {"big.txt": "\n".join(base) + "\n"})
+        b = write_tree(tmp_path / "b", {"big.txt": "\n".join(mutated) + "\n"})
+        assert compute_diff_metrics(a, b) == git_numstat_oracle(a, b, tmp_path)
+
+    def test_large_files_without_common_lines(self, tmp_path):
+        a = write_tree(tmp_path / "a", {"x": "".join(f"old {i}\n" for i in range(3000))})
+        b = write_tree(tmp_path / "b", {"x": "".join(f"new {i}\n" for i in range(3000))})
+        assert compute_diff_metrics(a, b) == (6000, 1)
+
+
+def brute_force_lcs(a: list[str], b: list[str]) -> int:
+    """Reference: the O(n*m) longest-common-subsequence table."""
+    prev = [0] * (len(b) + 1)
+    for line in a:
+        cur = [0] * (len(b) + 1)
+        for j, other in enumerate(b):
+            cur[j + 1] = prev[j] + 1 if line == other else max(prev[j + 1], cur[j])
+        prev = cur
+    return prev[-1]
+
+
+small_vocab_lines = st.integers(2, 5).flatmap(
+    lambda size: st.lists(st.sampled_from([f"line {i}" for i in range(size)]), max_size=40))
+
+
+class TestLineChanges:
+    @given(small_vocab_lines, small_vocab_lines)
+    @example([], [])
+    @example([], ["x", "x"])
+    @example(["x", "x", "x"], [])
+    @example(["x", "x", "y"], ["y", "x", "x"])
+    @example(["x"] * 5, ["x"] * 3)
+    @example(["p", "q", "p", "q"], ["q", "p", "q", "p"])
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    def test_equals_lcs_count(self, a, b):
+        assert _line_changes(a, b) == len(a) + len(b) - 2 * brute_force_lcs(a, b)
 
 
 class TestStorePersistence:
