@@ -12,6 +12,8 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
+from ..model import json_record
+
 ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]|\x1b\][^\x07]*\x07")
 
 # terminal status markers written by the CI job lifecycle
@@ -25,6 +27,7 @@ JAVA_FRAMEWORKS = ("JUnit", "testng")
 PYTHON_FRAMEWORKS = ("pytest", "nose", "unittest2", "unittest")
 
 
+@json_record
 @dataclass(frozen=True)
 class LogAttributes:
     status: str  # passed | failed | errored
@@ -41,24 +44,6 @@ class LogAttributes:
             raise ValueError("test counts out of range")
         if self.failed_test_names and len(self.failed_test_names) != self.num_tests_failed:
             raise ValueError("reported names must match num_tests_failed")
-
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "os": self.os,
-            "build_system": self.build_system,
-            "test_framework": self.test_framework,
-            "num_tests_run": self.num_tests_run,
-            "num_tests_failed": self.num_tests_failed,
-            "num_tests_skipped": self.num_tests_skipped,
-            "failed_test_names": list(self.failed_test_names),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogAttributes":
-        d = dict(d)
-        d["failed_test_names"] = tuple(d.get("failed_test_names", ()))
-        return cls(**d)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,7 @@ from . import analyzer
 from .connector import make_connector
 from .miner import mine
 from .model import JobPair, parse_timestamp
-from .pairfilter import DEFAULT_DOCKER_CUTOFF, FilterVerdict, ImageRef, filter_pairs, load_catalog
-from .model import Stage
+from .pairfilter import DEFAULT_DOCKER_CUTOFF, FilterVerdict, filter_pairs, load_catalog
 from .reproducer import (
     DEFAULT_REPEATS,
     DEFAULT_TIMEOUT_S,
@@ -81,22 +80,8 @@ def cmd_filter(args):
         print(f"{c.stage.value}: {c.count}", file=sys.stderr)
 
 
-def _verdict_from_dict(d: dict) -> FilterVerdict:
-    image = d.get("image_ref")
-    return FilterVerdict(
-        pair=JobPair.from_dict(d["pair"]),
-        stage_reached=Stage(d["stage_reached"]),
-        image_ref=ImageRef(
-            registry=image["registry"],
-            name=image["name"],
-            tag=image["tag"],
-            built_at=parse_timestamp(image["built_at"]),
-            instance_name=image["instance_name"],
-        )
-        if image
-        else None,
-        reject_reason=d.get("reject_reason"),
-    )
+# a module-level name, so a tracer (bench/spans.py) can wrap the verdict decoding of cmd_reproduce
+_verdict_from_dict = FilterVerdict.from_dict
 
 
 def cmd_reproduce(args):

@@ -1,10 +1,10 @@
 """Uniform access to CI build histories, job logs, git clones, and archives.
 
-Two interchangeable backends: a fixture backend reading a local directory
-tree (one directory per project with ``builds.json``, ``logs/<job_id>.txt``
-and ``archive/<sha>.zip``), and a live backend talking to a CI REST
-endpoint with retry/backoff. Setting FAILPASS_FIXTURE_DIR forces the
-fixture backend.
+The one backend reads a local directory tree: one directory per project
+with ``builds.json``, ``logs/<job_id>.txt``, ``archive/<sha>.zip`` and a
+git clone in ``repo/``. That layout is the interchange format for data
+exported from a CI service and a code host. The directory comes from
+``--fixture`` or FAILPASS_FIXTURE_DIR.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,10 +30,6 @@ class ProjectNotFound(ConnectorError):
     pass
 
 
-class RetryableError(ConnectorError):
-    """Transient fetch failure; distinct from a genuinely absent resource."""
-
-
 class CorruptArchiveError(ConnectorError):
     pass
 
@@ -42,7 +37,6 @@ class CorruptArchiveError(ConnectorError):
 @dataclass(frozen=True)
 class SnapshotRef:
     sha: str
-    source: str  # "git_history" | "archive"
     content_root: Path
 
 
@@ -66,16 +60,8 @@ def build_from_record(record: dict) -> Build:
         committed_at=parse_timestamp(record["committed_at"]),
         jobs=jobs,
         raw_trigger_sha=record.get("trigger_sha"),
-        raw_base_sha=record.get("base_sha"),
         merge_message=record.get("merge_message"),
     )
-
-
-def raw_job_config(record: dict, job_id: int) -> Optional[dict]:
-    for j in record.get("jobs", []):
-        if j["job_id"] == job_id:
-            return j["config"]
-    return None
 
 
 class FixtureConnector:
@@ -149,7 +135,7 @@ def extract_archive(zpath: Path, sha: str, dest: Optional[os.PathLike] = None) -
     root = out / top
     if not root.is_dir() or not any(root.iterdir()):
         raise CorruptArchiveError(f"corrupt archive: {zpath.name} extracted empty")
-    return SnapshotRef(sha=sha, source="archive", content_root=root)
+    return SnapshotRef(sha=sha, content_root=root)
 
 
 # --- git helpers -----------------------------------------------------------
@@ -201,86 +187,9 @@ def merge_tree(repo: os.PathLike, base_sha: str, trigger_sha: str, dest: os.Path
     return dest
 
 
-# --- live backend ----------------------------------------------------------
-
-
-class LiveConnector:
-    """Talks to a CI REST endpoint; paginates build history with backoff.
-
-    The transport is injectable for testing: any callable
-    ``(path, params) -> (status_code, parsed_json)``.
-    """
-
-    MAX_ATTEMPTS = 5
-
-    def __init__(self, base_url: str, token: Optional[str] = None, transport=None, sleep=time.sleep):
-        self.base_url = base_url.rstrip("/")
-        self.token = token or os.environ.get("CI_API_TOKEN")
-        self._transport = transport or self._http_get
-        self._sleep = sleep
-
-    def _http_get(self, path: str, params: dict):
-        import urllib.parse
-        import urllib.request
-
-        url = f"{self.base_url}{path}"
-        if params:
-            url += "?" + urllib.parse.urlencode(params)
-        req = urllib.request.Request(url)
-        if self.token:
-            req.add_header("Authorization", f"token {self.token}")
-        try:
-            with urllib.request.urlopen(req, timeout=30) as resp:
-                return resp.status, json.loads(resp.read().decode())
-        except Exception as exc:  # network errors are retryable
-            raise RetryableError(str(exc)) from exc
-
-    def _get(self, path: str, params: dict):
-        delay = 1.0
-        for attempt in range(self.MAX_ATTEMPTS):
-            try:
-                status, body = self._transport(path, params)
-            except RetryableError:
-                if attempt == self.MAX_ATTEMPTS - 1:
-                    raise
-                self._sleep(delay)
-                delay *= 2
-                continue
-            if status == 404:
-                raise ProjectNotFound(path)
-            if status == 429 or status >= 500:
-                if attempt == self.MAX_ATTEMPTS - 1:
-                    raise RetryableError(f"HTTP {status} for {path}")
-                self._sleep(delay)
-                delay *= 2
-                continue
-            return body
-        raise RetryableError(f"exhausted retries for {path}")
-
-    def fetch_build_history(self, slug: str) -> list[Build]:
-        builds: list[Build] = []
-        cursor = None
-        while True:
-            params = {"cursor": cursor} if cursor else {}
-            page = self._get(f"/repos/{slug}/builds", params)
-            builds.extend(build_from_record(r) for r in page.get("builds", []))
-            cursor = page.get("cursor")
-            if not cursor:
-                return builds
-
-    def fetch_job_log(self, job_id: int) -> Optional[str]:
-        try:
-            body = self._get(f"/jobs/{job_id}/log", {})
-        except ProjectNotFound:
-            return None
-        return body.get("content")
-
-
-def make_connector(fixture_dir: Optional[os.PathLike] = None, base_url: Optional[str] = None):
-    """Pick a backend: explicit fixture dir, FAILPASS_FIXTURE_DIR, or live."""
+def make_connector(fixture_dir: Optional[os.PathLike] = None) -> FixtureConnector:
+    """The fixture backend at the explicit directory or FAILPASS_FIXTURE_DIR."""
     fixture_dir = fixture_dir or os.environ.get("FAILPASS_FIXTURE_DIR")
     if fixture_dir:
         return FixtureConnector(fixture_dir)
-    if base_url:
-        return LiveConnector(base_url)
     raise ConnectorError("no backend configured: pass --fixture or set FAILPASS_FIXTURE_DIR")

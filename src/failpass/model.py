@@ -6,8 +6,13 @@ immutable after construction and safe to share across workers.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import operator
 import re
+import types
+import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -57,9 +62,6 @@ class Stage(str, Enum):
     WITH_IMAGE = "with_image"
     ATTEMPTED = "attempted"
     REPRODUCED = "reproduced"
-
-
-STAGE_ORDER = list(Stage)
 
 
 def outcome_class(status: Status) -> Outcome:
@@ -152,6 +154,84 @@ def parse_timestamp(text: str) -> datetime:
     return dt.astimezone(timezone.utc).replace(microsecond=0)
 
 
+# --- JSON codec ------------------------------------------------------------
+#
+# Pairs, verdicts, reproduction records and store lines are dataclasses
+# written as JSON objects keyed by field name, in field order. Enums are
+# written as their values, tuples and lists as arrays, datetimes as
+# ISO-8601 and nested dataclasses as objects; None passes through.
+
+
+@functools.cache
+def _value_codec(tp) -> tuple:
+    """(encode, decode) for values of one resolved type; None where JSON holds the value as is."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # Optional[X]
+        (inner,) = [a for a in args if a is not type(None)]
+        enc, dec = _value_codec(inner)
+        return (enc and (lambda v: None if v is None else enc(v)),
+                dec and (lambda v: None if v is None else dec(v)))
+    if tp in (tuple, list) or origin in (tuple, list):
+        item_codecs = {_value_codec(a) for a in args if a is not Ellipsis}
+        if len(item_codecs) > 1:
+            raise TypeError(f"the items of {tp} need different codecs")
+        enc, dec = item_codecs.pop() if item_codecs else (None, None)
+        seq = origin or tp
+        return (list if enc is None else (lambda v: list(map(enc, v))),
+                seq if dec is None else (lambda v: seq(map(dec, v))))
+    if dataclasses.is_dataclass(tp):
+        return _class_codec(tp)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return operator.attrgetter("value"), tp
+    if tp is datetime:
+        return datetime.isoformat, parse_timestamp
+    return None, None
+
+
+@functools.cache
+def _class_codec(cls) -> tuple:
+    """(encode, decode) for one dataclass, converting only the fields whose type needs it."""
+    hints = typing.get_type_hints(cls)
+    codecs = [(f.name, _value_codec(hints[f.name])) for f in dataclasses.fields(cls)]
+    encoders = tuple((name, enc) for name, (enc, _) in codecs if enc is not None)
+    decoders = tuple((name, dec) for name, (_, dec) in codecs if dec is not None)
+
+    def encode(obj) -> dict:
+        d = obj.__dict__.copy()
+        for name, enc in encoders:
+            d[name] = enc(d[name])
+        return d
+
+    def decode(d: dict):
+        # an absent key takes the field's default; construction runs __post_init__
+        kw = dict(d)
+        for name, dec in decoders:
+            if name in kw:
+                kw[name] = dec(kw[name])
+        return cls(**kw)
+
+    return encode, decode
+
+
+def _to_dict(self) -> dict:
+    return _class_codec(type(self))[0](self)
+
+
+def _from_dict(cls, d: dict):
+    return _class_codec(cls)[1](d)
+
+
+def json_record(cls):
+    """Give a dataclass ``to_dict`` and classmethod ``from_dict`` through the JSON codec.
+
+    Both are set on the class itself rather than inherited, so a tracer that
+    wraps ``cls.__dict__[name]`` (bench/spans.py) finds them on every record type.
+    """
+    cls.to_dict = _to_dict
+    cls.from_dict = classmethod(_from_dict)
+    return cls
+
+
 @dataclass(frozen=True)
 class Build:
     build_id: int
@@ -161,9 +241,7 @@ class Build:
     committed_at: datetime
     jobs: tuple[Job, ...]
     pr_number: Optional[int] = None
-    trigger: Optional[CommitCoordinates] = None
     raw_trigger_sha: Optional[str] = None
-    raw_base_sha: Optional[str] = None
     merge_message: Optional[str] = None
 
     def __post_init__(self):
@@ -184,6 +262,7 @@ class Build:
         return (self.committed_at, self.build_id)
 
 
+@json_record
 @dataclass(frozen=True)
 class JobPair:
     project: Project
@@ -198,65 +277,6 @@ class JobPair:
     def __post_init__(self):
         if self.failed_job.config_key != self.passed_job.config_key:
             raise ValueError("paired jobs must share a config_key")
-
-    def to_dict(self) -> dict:
-        return {
-            "project": {
-                "slug": self.project.slug,
-                "primary_language": self.project.primary_language,
-                "repo_url": self.project.repo_url,
-            },
-            "failed_build_id": self.failed_build_id,
-            "passed_build_id": self.passed_build_id,
-            "failed_job": _job_dict(self.failed_job),
-            "passed_job": _job_dict(self.passed_job),
-            "failed_commits": _coords_dict(self.failed_commits),
-            "passed_commits": _coords_dict(self.passed_commits),
-            "group_key": list(self.group_key),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "JobPair":
-        return cls(
-            project=Project(**d["project"]),
-            failed_build_id=d["failed_build_id"],
-            passed_build_id=d["passed_build_id"],
-            failed_job=_job_from_dict(d["failed_job"]),
-            passed_job=_job_from_dict(d["passed_job"]),
-            failed_commits=_coords_from_dict(d["failed_commits"]),
-            passed_commits=_coords_from_dict(d["passed_commits"]),
-            group_key=tuple(d["group_key"]),
-        )
-
-
-def _job_dict(j: Job) -> dict:
-    return {"job_id": j.job_id, "status": j.status.value, "config_key": j.config_key, "log_ref": j.log_ref}
-
-
-def _job_from_dict(d: dict) -> Job:
-    return Job(job_id=d["job_id"], status=Status(d["status"]), config_key=d["config_key"], log_ref=d.get("log_ref"))
-
-
-def _coords_dict(c: CommitCoordinates) -> dict:
-    return {
-        "trigger_sha": c.trigger_sha,
-        "base_sha": c.base_sha,
-        "merge_sha": c.merge_sha,
-        "availability": c.availability.value,
-        "recovery_source": c.recovery_source.value,
-        "reason": c.reason,
-    }
-
-
-def _coords_from_dict(d: dict) -> CommitCoordinates:
-    return CommitCoordinates(
-        trigger_sha=d.get("trigger_sha"),
-        base_sha=d.get("base_sha"),
-        merge_sha=d.get("merge_sha"),
-        availability=Availability(d["availability"]),
-        recovery_source=RecoverySource(d["recovery_source"]),
-        reason=d.get("reason"),
-    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .model import (
     JobPair,
     PipelineStageCount,
     Stage,
+    json_record,
     parse_timestamp,
 )
 
@@ -45,16 +46,8 @@ class ImageRef:
     built_at: datetime
     instance_name: str
 
-    def to_dict(self) -> dict:
-        return {
-            "registry": self.registry,
-            "name": self.name,
-            "tag": self.tag,
-            "built_at": self.built_at.isoformat(),
-            "instance_name": self.instance_name,
-        }
 
-
+@json_record
 @dataclass(frozen=True)
 class FilterVerdict:
     pair: JobPair
@@ -65,14 +58,6 @@ class FilterVerdict:
     def __post_init__(self):
         if (self.image_ref is not None) != (self.stage_reached is Stage.WITH_IMAGE):
             raise ValueError("image_ref present exactly when stage_reached is with_image")
-
-    def to_dict(self) -> dict:
-        return {
-            "pair": self.pair.to_dict(),
-            "stage_reached": self.stage_reached.value,
-            "image_ref": self.image_ref.to_dict() if self.image_ref else None,
-            "reject_reason": self.reject_reason,
-        }
 
 
 def check_availability(pair: JobPair) -> bool:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import analyzer
 from .connector import ConnectorError, clone_at, merge_tree
-from .model import Availability, CommitCoordinates, JobPair, RecoverySource
+from .model import Availability, CommitCoordinates, JobPair, RecoverySource, json_record
 from .pairfilter import FilterVerdict
 from .runtime import KILLED_EXIT_STATUS, SCRIPT_REL_PATH, ExecResult
 
@@ -72,6 +72,7 @@ class RunOutcome:
             raise ValueError("timed-out runs must carry the killed exit status")
 
 
+@json_record
 @dataclass
 class ReproductionRecord:
     pair_id: str
@@ -83,15 +84,6 @@ class ReproductionRecord:
     def __post_init__(self):
         if (self.category is not None) != (self.stability != "unreproducible"):
             raise ValueError("category present exactly when the pair reproduced")
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "attempts": [list(a) for a in self.attempts],
-            "stability": self.stability,
-            "category": self.category,
-            "unreproducibility_reason": self.unreproducibility_reason,
-        }
 
 
 def _as_commands(value) -> list[str]:

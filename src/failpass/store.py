@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
+from .model import json_record
+
 
 @dataclass(frozen=True)
 class SideInfo:
@@ -28,18 +30,8 @@ class SideInfo:
     trigger_sha: Optional[str] = None
     branch: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        d = self.__dict__.copy()
-        d["failed_test_names"] = list(self.failed_test_names)
-        return d
 
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["failed_test_names"] = tuple(d.get("failed_test_names", ()))
-        return cls(**d)
-
-
+@json_record
 @dataclass(frozen=True)
 class ArtifactMetadata:
     image_tag: str
@@ -63,35 +55,6 @@ class ArtifactMetadata:
     def __post_init__(self):
         if self.successes > self.attempts:
             raise ValueError("successes cannot exceed attempts")
-
-    def to_dict(self) -> dict:
-        return {
-            "image_tag": self.image_tag,
-            "slug": self.slug,
-            "primary_language": self.primary_language,
-            "build_system": self.build_system,
-            "test_framework": self.test_framework,
-            "attempts": self.attempts,
-            "successes": self.successes,
-            "stability": self.stability,
-            "category": self.category,
-            "failed": self.failed.to_dict(),
-            "passed": self.passed.to_dict(),
-            "num_changes": self.num_changes,
-            "num_files_changed": self.num_files_changed,
-            "pr_number": self.pr_number,
-            "merge_timestamp": self.merge_timestamp,
-            "branch": self.branch,
-            "error_tags": [list(t) for t in self.error_tags],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArtifactMetadata":
-        d = dict(d)
-        d["failed"] = SideInfo.from_dict(d["failed"])
-        d["passed"] = SideInfo.from_dict(d["passed"])
-        d["error_tags"] = tuple((n, c) for n, c in d.get("error_tags", []))
-        return cls(**d)
 
 
 def make_image_tag(slug: str, failing_job_id: int) -> str:

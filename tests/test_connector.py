@@ -6,9 +6,7 @@ from failpass.connector import (
     ConnectorError,
     CorruptArchiveError,
     FixtureConnector,
-    LiveConnector,
     ProjectNotFound,
-    RetryableError,
     clone_at,
     commit_exists,
     make_connector,
@@ -96,7 +94,6 @@ class TestArchiveSnapshot:
         conn = FixtureConnector(widgets_root)
         snap = conn.fetch_archive_snapshot("acme/widgets", fake_sha(0xBB1), tmp_path / "x")
         assert snap is not None
-        assert snap.source == "archive"
         assert any(snap.content_root.rglob("*"))
 
     def test_unarchived_sha_is_absent(self, widgets_root):
@@ -119,50 +116,6 @@ class TestArchiveSnapshot:
         (proj / "archive" / f"{sha}.zip").write_bytes(b"not a zip")
         with pytest.raises(CorruptArchiveError):
             FixtureConnector(tmp_path).fetch_archive_snapshot("acme/z", sha)
-
-
-class TestLiveConnector:
-    def _conn(self, responses, sleeps):
-        it = iter(responses)
-        return LiveConnector("http://ci.example", transport=lambda p, q: next(it), sleep=sleeps.append)
-
-    def test_pagination_exhausted(self):
-        page1 = {"builds": [_rec(1)], "cursor": "c2"}
-        page2 = {"builds": [_rec(2)], "cursor": None}
-        conn = self._conn([(200, page1), (200, page2)], [])
-        assert [b.build_id for b in conn.fetch_build_history("a/b")] == [1, 2]
-
-    def test_backoff_then_success(self):
-        sleeps = []
-        conn = self._conn([(503, {}), (503, {}), (200, {"builds": [], "cursor": None})], sleeps)
-        assert conn.fetch_build_history("a/b") == []
-        assert sleeps == [1.0, 2.0]
-
-    def test_gives_up_after_five_attempts(self):
-        sleeps = []
-        conn = self._conn([(503, {})] * 5, sleeps)
-        with pytest.raises(RetryableError):
-            conn.fetch_build_history("a/b")
-        assert len(sleeps) == 4
-
-    def test_unknown_project_is_not_retried(self):
-        sleeps = []
-        conn = self._conn([(404, {})], sleeps)
-        with pytest.raises(ProjectNotFound):
-            conn.fetch_build_history("a/b")
-        assert sleeps == []
-
-
-def _rec(build_id):
-    return {
-        "build_id": build_id,
-        "status": "passed",
-        "event": "push",
-        "branch": "master",
-        "committed_at": "2017-01-01T00:00:00Z",
-        "jobs": [{"job_id": build_id * 10, "status": "passed", "config": {"language": "java"}}],
-        "trigger_sha": None,
-    }
 
 
 def test_make_connector_env_forces_fixture(widgets_root, monkeypatch):
