@@ -50,9 +50,18 @@ def _write_jsonl(path, records):
         raise
 
 
-def _read_jsonl(path):
+def _read_jsonl(path, decode):
+    """``decode`` of each non-blank line's JSON; a bad line exits naming the file and its line number."""
+    out = []
     with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(decode(json.loads(line)))
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                raise SystemExit(f"{path}, line {line_no}: {type(exc).__name__}: {exc}") from None
+    return out
 
 
 def _store(args) -> ArtifactStore:
@@ -71,7 +80,7 @@ def cmd_mine(args):
 
 def cmd_filter(args):
     connector = make_connector(args.fixture)
-    pairs = [JobPair.from_dict(d) for d in _read_jsonl(args.pairs)]
+    pairs = _read_jsonl(args.pairs, JobPair.from_dict)
     catalog = load_catalog(args.catalog)
     cutoff = parse_timestamp(args.docker_cutoff) if args.docker_cutoff else DEFAULT_DOCKER_CUTOFF
     verdicts, counts = filter_pairs(pairs, connector.fetch_job_log, catalog, cutoff=cutoff)
@@ -86,7 +95,7 @@ _verdict_from_dict = FilterVerdict.from_dict
 
 def cmd_reproduce(args):
     connector = make_connector(args.fixture)
-    verdicts = [_verdict_from_dict(d) for d in _read_jsonl(args.verdicts)]
+    verdicts = _read_jsonl(args.verdicts, _verdict_from_dict)
     runtime = default_runtime()
     out_dir = Path(args.output_dir)
 
@@ -130,14 +139,14 @@ def cmd_analyze(args):
 
 
 def cmd_stats(args):
-    records = _store(args).load()
+    index = _store(args).index()
     if args.errors:
-        ranked = error_frequency_report(records, args.errors, top_n=args.top)
+        ranked = error_frequency_report(index, args.errors, top_n=args.top)
         for name, count in ranked:
             print(f"{name}\t{count}")
         return
     spec = HistogramSpec(metric=args.metric)
-    print(json.dumps(stats(records, spec), indent=2))
+    print(json.dumps(stats(index, spec), indent=2))
 
 
 def cmd_query(args):

@@ -1,18 +1,29 @@
 """Artifact metadata persistence, diff metrics, statistics, and user tools.
 
-The store is an append-only JSON-lines file with an advisory write lock;
-queries run against an in-memory index built on read. Diff metrics follow
-the addition+deletion counting convention (a modified line is one
-addition plus one deletion).
+The store is an append-only JSON-lines file under an advisory file lock.
+Beside it, the sidecar ``<store>.idx`` is a derived key directory: every
+queryable scalar of every record, each record's error-tag names, and where
+its line lies in the store. Queries and statistics run on the sidecar and
+decode only the records they return. The sidecar is trusted only while its
+stamp, the store's (inode, size, mtime_ns), matches; on any mismatch it is
+rebuilt from the store, so deleting it is always safe. A last line without
+a newline that does not parse, as a crash mid-append leaves, is skipped by
+reads and cut off by the next append. Diff metrics follow the
+addition+deletion counting convention (a modified line is one addition
+plus one deletion).
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import fcntl
+import functools
 import json
 import operator
+import os
 import re
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
@@ -161,6 +172,8 @@ def compute_diff_metrics(failing_tree: Path, passing_tree: Path) -> tuple[int, i
 
 # --- store -----------------------------------------------------------------
 
+INDEX_VERSION = 1
+
 
 class StoreError(Exception):
     pass
@@ -170,47 +183,281 @@ class DuplicateTagError(StoreError):
     pass
 
 
+def _stamp(fh) -> list[int]:
+    st = os.fstat(fh.fileno())
+    return [st.st_ino, st.st_size, st.st_mtime_ns]
+
+
+@functools.cache
+def _column_specs() -> tuple:
+    """(dotted name, outer key or "", key, codec default for an absent key or MISSING) per queryable field."""
+    top = {f.name: f.default for f in dataclasses.fields(ArtifactMetadata)}
+    side = {f.name: f.default for f in dataclasses.fields(SideInfo)}
+    specs = []
+    for name in _queryable_fields():
+        outer, _, key = name.rpartition(".")
+        specs.append((name, outer, key, side[key] if outer else top[key]))
+    return tuple(specs)
+
+
+def _index_fields() -> list[str]:
+    return [name for name, *_ in _column_specs()] + ["error_tags", "offset", "length"]
+
+
+class StoreIndex:
+    """A key directory over the store (Bitcask, Sheehy & Smith 2010).
+
+    One column per field, holding a value per record in store order: every
+    queryable scalar, under its dotted name and with the codec's default
+    where the line lacks the key; ``error_tags``, each record's distinct
+    error-tag names; and the ``offset`` and ``length`` of its line.
+    ``stamp`` is the (st_ino, st_size, st_mtime_ns) of the store it
+    describes and ``end`` the bytes it covers; a torn last line lies past
+    ``end``. Columns read from a sidecar stay JSON text until first used, so
+    a read parses only the columns it needs.
+    """
+
+    def __init__(self, stamp=(), end: int = 0, rows: int = 0, columns: Optional[dict] = None):
+        self.stamp = list(stamp)
+        self.end = end
+        self.rows = rows
+        # field -> its values, or the JSON text of that list until first use
+        self._columns = columns if columns is not None else {name: [] for name in _index_fields()}
+
+    @classmethod
+    def of(cls, records: Iterable[ArtifactMetadata]) -> "StoreIndex":
+        """An in-memory index over decoded records; its offsets and lengths are unused."""
+        index = cls()
+        for r in records:
+            index.add(r.to_dict(), 0, 0)
+        return index
+
+    def column(self, name: str) -> list:
+        values = self._columns[name]
+        if isinstance(values, bytes):
+            values = self._columns[name] = json.loads(values.decode())
+        return values
+
+    def add(self, d: dict, offset: int, length: int) -> None:
+        """Append the row of one store line's JSON object; KeyError if it lacks a required field."""
+        values = []
+        for name, outer, key, default in _column_specs():
+            value = (d[outer] if outer else d).get(key, default)
+            if value is dataclasses.MISSING:
+                raise KeyError(name)
+            values.append(value)
+        values += [list(dict.fromkeys(name for name, _ in d.get("error_tags", ()))), offset, length]
+        for (name, column), value in zip(self._columns.items(), values):
+            if isinstance(column, bytes):  # extend the JSON text rather than parse it
+                sep = b"," if self.rows else b""
+                self._columns[name] = column[:-1] + sep + json.dumps(value).encode() + b"]"
+            else:
+                column.append(value)
+        self.rows += 1
+
+    def dump(self) -> list[bytes]:
+        """Sidecar lines: a JSON header, one JSON array per field, then the CRC-32 of all before it."""
+        head = {"version": INDEX_VERSION, "stamp": self.stamp, "end": self.end, "rows": self.rows,
+                "fields": list(self._columns)}
+        lines = [json.dumps(head).encode() + b"\n"]
+        lines += [(c if isinstance(c, bytes) else json.dumps(c, separators=(",", ":")).encode()) + b"\n"
+                  for c in self._columns.values()]
+        crc = 0
+        for line in lines:
+            crc = zlib.crc32(line, crc)
+        return lines + [b"%d\n" % crc]
+
+    @classmethod
+    def parse(cls, data: bytes, stamp: list) -> Optional["StoreIndex"]:
+        """The index in sidecar bytes if they are whole, of this version and for ``stamp``; else None."""
+        lines = data.split(b"\n")
+        try:
+            covered = len(data) - len(lines[-2]) - 1
+            if lines[-1] or int(lines[-2]) != zlib.crc32(memoryview(data)[:covered]):
+                return None
+            h = json.loads(lines[0])
+            fields = _index_fields()
+            if (h["version"] != INDEX_VERSION or h["stamp"] != stamp or h["fields"] != fields
+                    or len(lines) != len(fields) + 3):
+                return None
+            return cls(stamp, h["end"], h["rows"], dict(zip(fields, lines[1:-2])))
+        except (ValueError, KeyError, TypeError, IndexError):
+            return None
+
+
 class ArtifactStore:
+    """Append-only JSONL store with a derived key-directory sidecar ``<store>.idx``.
+
+    Writers hold ``LOCK_EX`` on the store and readers ``LOCK_SH``. A reader
+    uses the sidecar only when its stamp matches the open store, and
+    otherwise rebuilds the index from the store and saves it where the
+    directory can be written.
+    """
+
     def __init__(self, path):
         self.path = Path(path)
+        self.index_path = self.path.with_name(self.path.name + ".idx")
+
+    @contextlib.contextmanager
+    def _locked(self, exclusive: bool = False):
+        """The store opened binary under flock; None for a reader when there is no store."""
+        if exclusive:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fh = self.path.open("a+b")
+        else:
+            try:
+                fh = self.path.open("rb")
+            except FileNotFoundError:
+                yield None
+                return
+        with fh:
+            fcntl.flock(fh, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
+            yield fh
+
+    def _lines(self, fh):
+        """(line number, offset, length, object) per non-blank line, from the start of the store.
+
+        A last line without a newline that does not parse is what a crash
+        mid-append leaves; it yields ``None`` as its object and ends the
+        scan. Any other bad line raises StoreError.
+        """
+        fh.seek(0)
+        offset = 0
+        for line_no, raw in enumerate(fh, 1):
+            start, offset = offset, offset + len(raw)
+            if not raw.strip():
+                continue
+            try:
+                d = json.loads(raw.decode())
+                if not isinstance(d, dict):
+                    raise ValueError("not a JSON object")
+            except ValueError as exc:
+                if raw.endswith(b"\n"):
+                    raise self._bad_line(line_no, exc) from None
+                yield line_no, start, len(raw), None
+                return
+            yield line_no, start, len(raw), d
+
+    def _bad_line(self, line_no: int, exc: Exception) -> StoreError:
+        return StoreError(f"{self.path}, line {line_no}: {type(exc).__name__}: {exc}")
+
+    def _build(self, fh) -> StoreIndex:
+        """The index of the whole store, one line at a time."""
+        stamp = _stamp(fh)
+        index = StoreIndex(stamp, end=stamp[1])
+        for line_no, offset, length, d in self._lines(fh):
+            if d is None:
+                index.end = offset
+                break
+            try:
+                index.add(d, offset, length)
+            except (KeyError, TypeError, AttributeError, ValueError) as exc:
+                raise self._bad_line(line_no, exc) from None
+        return index
+
+    def _index(self, fh, save: bool = True) -> StoreIndex:
+        """The sidecar's index when its stamp matches the open store, else a rebuilt one."""
+        stamp = _stamp(fh)
+        try:
+            index = StoreIndex.parse(self.index_path.read_bytes(), stamp)
+        except OSError:
+            index = None
+        if index is None:
+            index = self._build(fh)
+            if save:
+                self._save(index)
+        return index
+
+    def _save(self, index: StoreIndex) -> None:
+        """Replace the sidecar atomically; where that fails the index stays in memory only."""
+        tmp = self.index_path.with_name(f".{self.index_path.name}.{os.getpid()}.tmp")
+        try:
+            with tmp.open("wb") as out:
+                out.writelines(index.dump())
+            os.replace(tmp, self.index_path)
+        except OSError:
+            pass  # derived data: the next reader rebuilds it
+        finally:
+            tmp.unlink(missing_ok=True)
+
+    def _decode(self, fh, index: StoreIndex, row: int) -> ArtifactMetadata:
+        offset = index.column("offset")[row]
+        fh.seek(offset)
+        raw = fh.read(index.column("length")[row])
+        try:
+            return ArtifactMetadata.from_dict(json.loads(raw.decode()))
+        except (ValueError, TypeError, KeyError) as exc:
+            fh.seek(0)
+            raise self._bad_line(fh.read(offset).count(b"\n") + 1, exc) from None
 
     def load(self) -> list[ArtifactMetadata]:
-        if not self.path.exists():
-            return []
+        """Every record, decoded; the full-decode path that the index answers for."""
         records = []
-        with self.path.open() as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(ArtifactMetadata.from_dict(json.loads(line)))
+        with self._locked() as fh:
+            if fh is None:
+                return []
+            for line_no, _, _, d in self._lines(fh):
+                if d is None:
+                    break
+                try:
+                    records.append(ArtifactMetadata.from_dict(d))
+                except (ValueError, TypeError, KeyError) as exc:
+                    raise self._bad_line(line_no, exc) from None
         return records
 
+    def index(self) -> StoreIndex:
+        """The store's index, for the statistics functions; empty when there is no store."""
+        with self._locked() as fh:
+            return StoreIndex() if fh is None else self._index(fh)
+
     def persist(self, record: ArtifactMetadata) -> None:
-        """Append one record atomically; image tags must stay unique."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a+") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                fh.seek(0)
-                for line in fh:
-                    line = line.strip()
-                    if line and json.loads(line)["image_tag"] == record.image_tag:
-                        raise DuplicateTagError(f"duplicate image_tag: {record.image_tag}")
-                fh.seek(0, 2)
-                fh.write(json.dumps(record.to_dict()) + "\n")
-                fh.flush()
-            finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
+        """Append one record atomically; image tags must stay unique.
+
+        A torn last line is cut off first, and the index grows by one row.
+        """
+        d = record.to_dict()
+        line = (json.dumps(d) + "\n").encode()
+        with self._locked(exclusive=True) as fh:
+            index = self._index(fh, save=False)
+            if record.image_tag in index.column("image_tag"):
+                raise DuplicateTagError(f"duplicate image_tag: {record.image_tag}")
+            prefix = b""
+            if index.end < index.stamp[1]:
+                os.ftruncate(fh.fileno(), index.end)
+            elif index.end:
+                fh.seek(index.end - 1)
+                if fh.read(1) != b"\n":  # a whole last line that another tool wrote without one
+                    prefix = b"\n"
+            fh.write(prefix + line)
+            fh.flush()
+            index.add(d, index.end + len(prefix), len(line))
+            index.stamp = _stamp(fh)
+            index.end = index.stamp[1]
+            self._save(index)
 
     def get(self, image_tag: str) -> Optional[ArtifactMetadata]:
-        for r in self.load():
-            if r.image_tag == image_tag:
-                return r
-        return None
+        with self._locked() as fh:
+            if fh is None:
+                return None
+            index = self._index(fh)
+            try:
+                row = index.column("image_tag").index(image_tag)
+            except ValueError:
+                return None
+            return self._decode(fh, index, row)
 
     def query(self, expression: str) -> list[ArtifactMetadata]:
-        predicate = parse_query(expression)
-        return [r for r in self.load() if predicate(r)]
+        """Records matching ``expression``: the terms run on the index, and only the hits are decoded."""
+        terms = _parse_terms(expression)
+        with self._locked() as fh:
+            if fh is None:
+                return []
+            index = self._index(fh)
+            rows = range(index.rows)
+            for fld, compare, rhs in terms:
+                column = index.column(fld)
+                rows = [i for i in rows if _holds(column[i], compare, rhs)]
+            return [self._decode(fh, index, i) for i in rows]
 
 
 # --- query sublanguage -----------------------------------------------------
@@ -259,12 +506,8 @@ def _queryable_fields() -> dict[str, str]:
     return kinds
 
 
-def parse_query(expression: str):
-    """Conjunction of `field OP value` terms separated by whitespace.
-
-    Field names, operators, and value types are checked up front, so a
-    malformed query fails before any record is touched.
-    """
+def _parse_terms(expression: str) -> list[tuple]:
+    """(dotted field, comparison, value) per `field OP value` term, checked up front."""
     kinds = _queryable_fields()
     terms = []
     pos = 0
@@ -295,17 +538,28 @@ def parse_query(expression: str):
             raw = raw.lower()
         terms.append((fld, _OPERATORS[op], raw))
         pos = m.end()
+    return terms
+
+
+def _holds(value, compare, rhs) -> bool:
+    """One term on one field value: None never matches, and strings compare lower-cased."""
+    if value is None:
+        return False
+    if isinstance(value, str):
+        value = value.lower()
+    return compare(value, rhs)
+
+
+def parse_query(expression: str):
+    """Predicate on ArtifactMetadata for a conjunction of `field OP value` terms separated by whitespace.
+
+    Field names, operators, and value types are checked up front, so a
+    malformed query fails before any record is touched.
+    """
+    terms = _parse_terms(expression)
 
     def predicate(record: ArtifactMetadata) -> bool:
-        for fld, compare, rhs in terms:
-            value = _record_value(record, fld)
-            if value is None:
-                return False
-            if isinstance(value, str):
-                value = value.lower()
-            if not compare(value, rhs):
-                return False
-        return True
+        return all(_holds(_record_value(record, fld), compare, rhs) for fld, compare, rhs in terms)
 
     return predicate
 
@@ -319,10 +573,10 @@ DEFAULT_BINS = {
     "failing_tests": [(1, 1), (2, 2), (3, 5), (6, 15), (16, 50), (51, 100), (101, 400), (401, 1826)],
 }
 
-_METRIC_GETTERS = {
-    "changes": lambda r: r.num_changes,
-    "files_changed": lambda r: r.num_files_changed,
-    "failing_tests": lambda r: r.failed.num_tests_failed,
+_METRIC_FIELDS = {
+    "changes": "num_changes",
+    "files_changed": "num_files_changed",
+    "failing_tests": "failed.num_tests_failed",
 }
 
 
@@ -332,7 +586,7 @@ class HistogramSpec:
     bins: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if self.metric not in _METRIC_GETTERS:
+        if self.metric not in _METRIC_FIELDS:
             raise ValueError(f"unknown metric: {self.metric}")
         bins = self.bins or tuple(DEFAULT_BINS[self.metric])
         object.__setattr__(self, "bins", tuple(bins))
@@ -341,13 +595,15 @@ class HistogramSpec:
             raise ValueError("bin edges must be strictly ascending")
 
 
-def stats(records: Iterable[ArtifactMetadata], spec: HistogramSpec) -> dict:
+def _as_index(records) -> StoreIndex:
+    return records if isinstance(records, StoreIndex) else StoreIndex.of(records)
+
+
+def stats(records: Iterable[ArtifactMetadata] | StoreIndex, spec: HistogramSpec) -> dict:
     """Per-bin counts plus a flagged overflow bucket for out-of-range values."""
-    get = _METRIC_GETTERS[spec.metric]
     counts = {f"{lo}-{hi}" if lo != hi else str(lo): 0 for lo, hi in spec.bins}
     overflow = 0
-    for r in records:
-        value = get(r)
+    for value in _as_index(records).column(_METRIC_FIELDS[spec.metric]):
         for lo, hi in spec.bins:
             if lo <= value <= hi:
                 counts[f"{lo}-{hi}" if lo != hi else str(lo)] += 1
@@ -360,17 +616,19 @@ def stats(records: Iterable[ArtifactMetadata], spec: HistogramSpec) -> dict:
     return out
 
 
-def error_frequency_report(records: Iterable[ArtifactMetadata], language: str, top_n: int = 10) -> list[tuple[str, int]]:
+def error_frequency_report(records: Iterable[ArtifactMetadata] | StoreIndex, language: str,
+                           top_n: int = 10) -> list[tuple[str, int]]:
     """Rank error names by the number of artifacts tagged with them.
 
     Counting is per-artifact presence: an artifact tagged twice with the
     same name counts once.
     """
+    index = _as_index(records)
     freq: dict[str, int] = {}
-    for r in records:
-        if r.primary_language.lower() != language.lower():
+    for lang, names in zip(index.column("primary_language"), index.column("error_tags")):
+        if lang.lower() != language.lower():
             continue
-        for name in {n for n, _ in r.error_tags}:
+        for name in names:
             freq[name] = freq.get(name, 0) + 1
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top_n]

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -52,6 +53,38 @@ class TestMineFilterPipeline:
         for v in read_jsonl(verdicts):
             assert v["stage_reached"] in ("all_pairs", "available", "log_present",
                                           "docker_era", "with_image")
+
+    def _mined_pairs(self, widgets_root, tmp_path) -> Path:
+        pairs = tmp_path / "pairs.jsonl"
+        main(["mine", "acme/widgets", "--fixture", str(widgets_root), "--language", "java", "--out", str(pairs)])
+        return pairs
+
+    def test_pair_line_without_group_key_names_file_and_line(self, widgets_root, catalog_path, tmp_path):
+        pairs = self._mined_pairs(widgets_root, tmp_path)
+        first, second = read_jsonl(pairs)
+        del second["group_key"]
+        pairs.write_text(json.dumps(first) + "\n\n" + json.dumps(second) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
+                  "--fixture", str(widgets_root), "--out", str(tmp_path / "verdicts.jsonl")])
+        message = str(exc.value.code)
+        assert message.startswith(f"{pairs}, line 3: TypeError")
+        assert "group_key" in message
+        assert not (tmp_path / "verdicts.jsonl").exists()
+
+    def test_non_json_line_names_file_and_line(self, widgets_root, catalog_path, tmp_path):
+        pairs = self._mined_pairs(widgets_root, tmp_path)
+        pairs.write_text(pairs.read_text() + '{"project": \n')
+        with pytest.raises(SystemExit, match=rf"^{re.escape(str(pairs))}, line 3: JSONDecodeError"):
+            main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
+                  "--fixture", str(widgets_root), "--out", str(tmp_path / "verdicts.jsonl")])
+
+    def test_bad_verdict_line_names_file_and_line(self, widgets_root, tmp_path):
+        verdicts = tmp_path / "verdicts.jsonl"
+        verdicts.write_text('{"stage_reached": "with_image"}\n')
+        with pytest.raises(SystemExit, match=rf"^{re.escape(str(verdicts))}, line 1: TypeError"):
+            main(["reproduce", "--verdicts", str(verdicts), "--fixture", str(widgets_root),
+                  "--out", str(tmp_path / "records.jsonl")])
 
     def test_full_pipeline_reproduces(self, e2e_root, catalog_path, tmp_path, capsys, monkeypatch):
         # the catalog's image is in no registry, so only the local backend can run the jobs

@@ -1,0 +1,398 @@
+"""The store's key-directory sidecar answers exactly as a full decode of the store does."""
+
+import json
+import os
+import re
+import zlib
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from failpass import store as store_mod
+from failpass.cli import main
+from failpass.store import (
+    DEFAULT_BINS,
+    ArtifactMetadata,
+    ArtifactStore,
+    DuplicateTagError,
+    SideInfo,
+    StoreError,
+    error_frequency_report,
+    parse_query,
+    stats,
+)
+from test_store import mk_record
+
+# --- a full-decode oracle, written without the index -------------------------
+
+
+def oracle_records(path) -> list[ArtifactMetadata]:
+    """Every whole line of the store, decoded; a torn last line is not a record."""
+    if not path.exists():
+        return []
+    out = []
+    for line in path.read_bytes().split(b"\n"):
+        if line.strip():
+            try:
+                out.append(ArtifactMetadata.from_dict(json.loads(line)))
+            except ValueError:  # only the torn last line may not parse
+                assert not path.read_bytes().endswith(b"\n") and path.read_bytes().endswith(line)
+    return out
+
+
+def oracle_stats(records, metric) -> dict:
+    get = {"changes": lambda r: r.num_changes, "files_changed": lambda r: r.num_files_changed,
+           "failing_tests": lambda r: r.failed.num_tests_failed}[metric]
+    bins = {(f"{lo}-{hi}" if lo != hi else str(lo)): 0 for lo, hi in DEFAULT_BINS[metric]}
+    overflow = 0
+    for r in records:
+        hit = [k for (lo, hi), k in zip(DEFAULT_BINS[metric], bins) if lo <= get(r) <= hi]
+        if hit:
+            bins[hit[0]] += 1
+        else:
+            overflow += 1
+    return {"metric": metric, "bins": bins, **({"overflow": overflow} if overflow else {})}
+
+
+def oracle_errors(records, language, top_n=10) -> list:
+    freq = {}
+    for r in records:
+        if r.primary_language.lower() == language.lower():
+            for name in {n for n, _ in r.error_tags}:
+                freq[name] = freq.get(name, 0) + 1
+    return sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+
+
+def raw_line(record: ArtifactMetadata, drop=()) -> bytes:
+    """A store line as another tool might write it: keys with codec defaults may be absent."""
+    d = record.to_dict()
+    for key in drop:
+        d.pop(key, None)
+    return (json.dumps(d) + "\n").encode()
+
+
+# --- random operation sequences ---------------------------------------------
+
+ERRORS = ("NullPointerException", "AssertionError", "ValueError", "IOError")
+
+records = st.builds(
+    lambda tag, lang, stability, category, changes, files, failing, run, pr, tags: ArtifactMetadata(
+        image_tag=f"acme-widgets-{tag}", slug="acme/widgets", primary_language=lang,
+        build_system="Maven", test_framework="JUnit", attempts=5,
+        successes=5 if stability == "reproducible" else 2, stability=stability, category=category,
+        failed=SideInfo(build_id=2 * tag, job_id=tag, num_tests_run=run, num_tests_failed=failing),
+        passed=SideInfo(build_id=2 * tag + 1, job_id=tag + 1, num_tests_run=run),
+        num_changes=changes, num_files_changed=files, pr_number=pr, branch="master",
+        error_tags=tuple(tags)),
+    tag=st.integers(1, 12),
+    lang=st.sampled_from(("Java", "java", "python")),
+    stability=st.sampled_from(("reproducible", "flaky")),
+    category=st.sampled_from((None, "error_pass", "with_failed_test")),
+    changes=st.sampled_from((0, 3, 40, 900)),
+    files=st.integers(0, 8),
+    failing=st.integers(0, 3),
+    run=st.integers(0, 12),
+    pr=st.sampled_from((None, 7)),
+    tags=st.lists(st.tuples(st.sampled_from(ERRORS), st.integers(1, 3)), max_size=3),
+)
+
+terms = st.sampled_from((
+    "language=java", "language!=JAVA", "stability=flaky", "category=error_pass", "category!=error_pass",
+    "num_changes>=40", "num_changes=0", "num_files_changed<4", "num_tests_failed<=1", "failed.num_tests_run>6",
+    "pr_number=7", "pr_number!=7", "branch=master", "passed.job_id>6", "image_tag=acme-widgets-3",
+))
+queries = st.lists(terms, min_size=1, max_size=3).map(" ".join)
+DROPPABLE = ("num_changes", "error_tags", "num_files_changed", "pr_number", "branch")
+
+# each step changes the store or its sidecar, then reads
+changes = st.one_of(
+    st.tuples(st.just("none"), st.none()),
+    st.tuples(st.just("persist"), records),
+    st.tuples(st.just("raw_append"), st.tuples(records, st.lists(st.sampled_from(DROPPABLE), max_size=3))),
+    st.tuples(st.just("torn_append"), st.integers(1, 40)),
+    st.tuples(st.just("sidecar"), st.sampled_from(("absent", "corrupt", "old_version", "new_inode"))),
+    st.tuples(st.just("corrupt_at"), st.tuples(st.floats(0, 1), st.integers(0, 255))),
+)
+reads = st.one_of(
+    st.tuples(st.just("query"), queries),
+    st.tuples(st.just("stats"), st.sampled_from(sorted(DEFAULT_BINS))),
+    st.tuples(st.just("errors"), st.sampled_from(("java", "python"))),
+    st.tuples(st.just("get"), st.integers(1, 12)),
+)
+
+
+def change_sidecar(store: ArtifactStore, state: str) -> None:
+    idx = store.index_path
+    if state == "absent":
+        idx.unlink(missing_ok=True)
+    elif state == "corrupt" and idx.exists():
+        idx.write_bytes(idx.read_bytes()[: idx.stat().st_size // 2])
+    elif state == "old_version" and idx.exists():
+        # whole and for this store, but of another format version whose lines mean other things
+        lines = idx.read_bytes().split(b"\n")[:-2]
+        head = json.loads(lines[0])
+        at = {name: k + 1 for k, name in enumerate(head["fields"])}
+        lines[at["offset"]], lines[at["length"]] = lines[at["length"]], lines[at["offset"]]
+        lines[0] = json.dumps({**head, "version": 0}).encode()
+        body = b"\n".join(lines) + b"\n"
+        idx.write_bytes(body + b"%d\n" % zlib.crc32(body))
+    elif state == "new_inode" and store.path.read_bytes().endswith(b"\n"):
+        # the same size and mtime, other content: only the inode tells the old index from the new store
+        lines = store.path.read_bytes().splitlines(keepends=True)
+        st_old = store.path.stat()
+        tmp = store.path.with_name("replacement")
+        tmp.write_bytes(b"".join(lines[-1:] + lines[1:-1] + lines[:1]))
+        os.utime(tmp, ns=(st_old.st_atime_ns, st_old.st_mtime_ns))
+        os.replace(tmp, store.path)
+
+
+def change(store: ArtifactStore, op: str, arg) -> None:
+    """Apply one change; ``persist`` is checked against the oracle here."""
+    path = store.path
+    if op == "persist":
+        truth = oracle_records(path)
+        if arg.image_tag in {r.image_tag for r in truth}:
+            with pytest.raises(DuplicateTagError):
+                store.persist(arg)
+        else:
+            store.persist(arg)
+            truth.append(arg)
+            assert path.read_bytes().endswith(b"\n")
+        assert oracle_records(path) == truth
+    elif op == "raw_append" and path.read_bytes().endswith(b"\n"):
+        record, drop = arg
+        with path.open("ab") as fh:
+            fh.write(raw_line(record, drop))
+    elif op == "torn_append" and path.read_bytes().endswith(b"\n"):
+        with path.open("ab") as fh:
+            fh.write(raw_line(mk_record(tag="acme-widgets-99"))[:arg])
+    elif op == "corrupt_at" and store.index_path.exists():
+        where, byte = arg
+        data = bytearray(store.index_path.read_bytes())
+        data[int(where * (len(data) - 1))] = byte
+        store.index_path.write_bytes(bytes(data))
+    elif op == "sidecar":
+        change_sidecar(store, arg)
+
+
+def check_read(store: ArtifactStore, op: str, arg) -> None:
+    truth = oracle_records(store.path)
+    if op == "query":
+        predicate = parse_query(arg)
+        assert store.query(arg) == [r for r in truth if predicate(r)]
+    elif op == "stats":
+        assert stats(store.index(), store_mod.HistogramSpec(arg)) == oracle_stats(truth, arg)
+    elif op == "errors":
+        assert error_frequency_report(store.index(), arg) == oracle_errors(truth, arg)
+    else:
+        tag = f"acme-widgets-{arg}"
+        assert store.get(tag) == next((r for r in truth if r.image_tag == tag), None)
+
+
+class TestIndexAnswersAsFullDecode:
+    @settings(derandomize=True, deadline=None, max_examples=300,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(initial=st.lists(records, min_size=1, max_size=6, unique_by=lambda r: r.image_tag),
+           steps=st.lists(st.tuples(changes, reads), max_size=10))
+    def test_random_sequences(self, tmp_path_factory, initial, steps):
+        path = tmp_path_factory.mktemp("store") / "store.jsonl"
+        store = ArtifactStore(path)
+        for record in initial:
+            store.persist(record)
+        for (op, arg), (read, what) in steps:
+            change(store, op, arg)
+            check_read(store, read, what)
+            assert store.load() == oracle_records(path)
+        # every read after a change left a fresh sidecar, and no temp file
+        assert sorted(p.name for p in path.parent.iterdir()) == ["store.jsonl", "store.jsonl.idx"]
+
+
+# --- fixed cases --------------------------------------------------------------
+
+
+@pytest.fixture()
+def two_records(tmp_path):
+    store = ArtifactStore(tmp_path / "store.jsonl")
+    store.persist(mk_record(tag="a-b-1", language="Java", changes=10))
+    store.persist(mk_record(tag="a-b-2", language="Python", changes=600, error_tags=(("ValueError", 2),)))
+    return store
+
+
+class TestSidecar:
+    def test_persist_keeps_the_sidecar_fresh_and_leaves_no_temp_file(self, two_records):
+        assert sorted(p.name for p in two_records.path.parent.iterdir()) == ["store.jsonl", "store.jsonl.idx"]
+        head = json.loads(two_records.index_path.read_bytes().partition(b"\n")[0])
+        st_store = two_records.path.stat()
+        assert head["stamp"] == [st_store.st_ino, st_store.st_size, st_store.st_mtime_ns]
+        assert head["rows"] == 2 and head["end"] == st_store.st_size
+
+    def test_reader_rebuilds_a_deleted_sidecar(self, two_records):
+        two_records.index_path.unlink()
+        assert [r.image_tag for r in two_records.query("language=python")] == ["a-b-2"]
+        assert two_records.index_path.exists()
+        assert sorted(p.name for p in two_records.path.parent.iterdir()) == ["store.jsonl", "store.jsonl.idx"]
+
+    def test_sidecar_with_altered_body_is_rebuilt(self, two_records):
+        lines = two_records.index_path.read_bytes().split(b"\n")
+        at = json.loads(lines[0])["fields"].index("num_changes") + 1
+        assert lines[at] == b"[10,600]"
+        lines[at] = b"[10,100]"  # the header still matches the store; only the CRC tells
+        two_records.index_path.write_bytes(b"\n".join(lines))
+        assert [r.image_tag for r in two_records.query("num_changes>=500")] == ["a-b-2"]
+        assert b"[10,600]" in two_records.index_path.read_bytes()
+
+    def test_first_append_after_an_empty_store_was_read(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store.jsonl")
+        store.path.touch()
+        assert store.query("language=java") == [] and store.index_path.exists()
+        store.persist(mk_record(tag="a-b-1"))
+        store.persist(mk_record(tag="a-b-2"))
+        assert [r.image_tag for r in store.query("language=java")] == ["a-b-1", "a-b-2"]
+        assert store.load() == [mk_record(tag="a-b-1"), mk_record(tag="a-b-2")]
+
+    def test_absent_keys_take_the_codec_defaults(self, two_records):
+        with two_records.path.open("ab") as fh:
+            fh.write(raw_line(mk_record(tag="a-b-3", language="Java", changes=77),
+                              drop=("num_changes", "error_tags")))
+        (record,) = two_records.query("num_changes=0")
+        assert record.image_tag == "a-b-3" and record.num_changes == 0 and record.error_tags == ()
+        assert stats(two_records.index(), store_mod.HistogramSpec("changes"))["overflow"] == 1
+        assert error_frequency_report(two_records.index(), "java") == [("NullPointerException", 1)]
+
+    def test_duplicate_of_a_tag_only_another_tool_appended(self, two_records):
+        with two_records.path.open("ab") as fh:
+            fh.write(raw_line(mk_record(tag="a-b-9")))
+        with pytest.raises(DuplicateTagError, match="a-b-9"):
+            two_records.persist(mk_record(tag="a-b-9"))
+        with pytest.raises(DuplicateTagError, match="a-b-1"):
+            two_records.persist(mk_record(tag="a-b-1"))
+        assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2", "a-b-9"]
+
+    def test_missing_store_reads_empty_and_writes_nothing(self, tmp_path):
+        store = ArtifactStore(tmp_path / "absent.jsonl")
+        assert store.query("language=java") == [] and store.get("a-b-1") is None
+        assert stats(store.index(), store_mod.HistogramSpec("changes"))["bins"]["1-5"] == 0
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_sidecar_keeps_the_index_in_memory(self, two_records, monkeypatch):
+        two_records.index_path.unlink()
+
+        def refuse(*_):
+            raise PermissionError("read-only directory")
+
+        monkeypatch.setattr(store_mod.os, "replace", refuse)
+        assert [r.image_tag for r in two_records.query("num_changes>=600")] == ["a-b-2"]
+        assert error_frequency_report(two_records.index(), "python") == [("ValueError", 1)]
+        two_records.persist(mk_record(tag="a-b-3"))
+        assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2", "a-b-3"]
+        assert sorted(p.name for p in two_records.path.parent.iterdir()) == ["store.jsonl"]
+
+    def test_read_only_directory(self, two_records, capsys):
+        two_records.index_path.unlink()
+        directory = two_records.path.parent
+        directory.chmod(0o555)
+        try:
+            try:
+                (directory / "probe").touch()
+            except PermissionError:
+                pass
+            else:  # root, with its permission override: the directory stays writable
+                (directory / "probe").unlink()
+                pytest.skip("the file mode is not enforced for this user")
+            main(["query", "language=java", "--store", str(two_records.path)])
+            main(["stats", "--metric", "changes", "--store", str(two_records.path)])
+            main(["stats", "--errors", "python", "--store", str(two_records.path)])
+            assert sorted(p.name for p in directory.iterdir()) == ["store.jsonl"]
+        finally:
+            directory.chmod(0o755)
+        out = capsys.readouterr().out.splitlines()
+        assert json.loads(out[0])["image_tag"] == "a-b-1"
+        assert out[-1] == "ValueError\t1"
+
+
+class TestTornLastLine:
+    TORN = b'{"image_tag": "torn-1", "slug": "ac'
+
+    def test_reads_skip_a_torn_last_line(self, two_records):
+        with two_records.path.open("ab") as fh:
+            fh.write(self.TORN)
+        assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2"]
+        assert [r.image_tag for r in two_records.query("branch=master")] == ["a-b-1", "a-b-2"]
+        assert sum(stats(two_records.index(), store_mod.HistogramSpec("changes"))["bins"].values()) == 2
+        assert two_records.get("a-b-3") is None
+
+    def test_next_persist_cuts_it_off(self, two_records):
+        size = two_records.path.stat().st_size
+        with two_records.path.open("ab") as fh:
+            fh.write(self.TORN)
+        two_records.persist(mk_record(tag="a-b-3"))
+        data = two_records.path.read_bytes()
+        assert self.TORN not in data and len(data) > size and data.endswith(b"\n")
+        assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2", "a-b-3"]
+        assert two_records.get("a-b-3") == mk_record(tag="a-b-3")
+
+    def test_whole_last_line_without_newline_is_kept(self, two_records):
+        with two_records.path.open("ab") as fh:
+            fh.write(raw_line(mk_record(tag="a-b-3")).rstrip(b"\n"))
+        assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2", "a-b-3"]
+        two_records.persist(mk_record(tag="a-b-4"))
+        assert [r.image_tag for r in two_records.query("branch=master")] == ["a-b-1", "a-b-2", "a-b-3", "a-b-4"]
+        assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2", "a-b-3", "a-b-4"]
+
+    @pytest.mark.parametrize("bad", [b"{not json\n", b"[1, 2]\n", b'{"image_tag": "x"}\n'])
+    def test_bad_line_elsewhere_names_store_and_line(self, two_records, bad):
+        lines = two_records.path.read_bytes().splitlines(keepends=True)
+        two_records.path.write_bytes(lines[0] + bad + lines[1])
+        where = f"{two_records.path}, line 2"
+        for read in (two_records.load, two_records.index, lambda: two_records.query("branch=master"),
+                     lambda: two_records.get("a-b-2"), lambda: two_records.persist(mk_record(tag="a-b-5"))):
+            with pytest.raises(StoreError, match=f"^{re.escape(where)}: "):
+                read()
+
+    def test_undecodable_hit_names_its_line(self, two_records):
+        lines = two_records.path.read_bytes().splitlines(keepends=True)
+        bad = json.loads(lines[1])
+        bad["successes"] = 9  # a row the index takes, which ArtifactMetadata refuses
+        two_records.path.write_bytes(lines[0] + b"\n" + (json.dumps(bad) + "\n").encode())
+        assert [r.image_tag for r in two_records.query("language=java")] == ["a-b-1"]
+        with pytest.raises(StoreError, match=f"^{re.escape(str(two_records.path))}, line 3: ValueError"):
+            two_records.query("language=python")
+
+
+class TestDecodeCount:
+    @pytest.fixture()
+    def counted(self, tmp_path, monkeypatch):
+        store = ArtifactStore(tmp_path / "store.jsonl")
+        for k in range(1, 9):
+            store.persist(mk_record(tag=f"a-b-{k}", language="Java" if k % 2 else "Python", changes=k))
+        decoded = []
+        decode = ArtifactMetadata.from_dict
+        monkeypatch.setattr(ArtifactMetadata, "from_dict",
+                            classmethod(lambda cls, d: decoded.append(d) or decode(d)))
+        return store, decoded
+
+    def test_query_decodes_exactly_its_hits(self, counted):
+        store, decoded = counted
+        assert len(store.query("language=java num_changes>=3")) == 3
+        assert len(decoded) == 3
+
+    def test_statistics_decode_nothing(self, counted):
+        store, decoded = counted
+        main(["stats", "--metric", "changes", "--store", str(store.path)])
+        main(["stats", "--errors", "java", "--store", str(store.path)])
+        assert decoded == []
+
+    def test_get_decodes_one(self, counted):
+        store, decoded = counted
+        assert store.get("a-b-7").image_tag == "a-b-7"
+        assert len(decoded) == 1
+
+    def test_persist_parses_no_stored_line(self, counted, monkeypatch):
+        store, _ = counted
+        stored = {line.strip() for line in store.path.read_bytes().splitlines()}
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(s) or loads(s, **kw))
+        store.persist(mk_record(tag="a-b-9"))
+        assert parsed and not [s for s in parsed
+                               if (s.encode() if isinstance(s, str) else bytes(s)).strip() in stored]
