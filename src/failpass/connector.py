@@ -161,8 +161,8 @@ def commit_exists(repo: os.PathLike, sha: str) -> bool:
 def clone_at(repo: os.PathLike, sha: str, dest: os.PathLike) -> Path:
     """Clone a local repository and hard-reset the tree to sha.
 
-    The empty template leaves out git's inactive sample hooks, which every
-    per-attempt copy of the tree would otherwise copy too.
+    The empty template leaves out git's inactive sample hooks, which each
+    working copy of the tree would otherwise copy and compare too.
     """
     dest = Path(dest)
     subprocess.run(["git", "clone", "--quiet", "--template=", str(repo), str(dest)],

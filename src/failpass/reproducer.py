@@ -9,10 +9,13 @@ flaky, or unreproducible.
 
 from __future__ import annotations
 
+import os
 import re
 import shlex
 import shutil
+import stat
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -260,14 +263,130 @@ class ReproductionContext:
         return analyzer.analyze(text, self.language)
 
 
+_COMPARE_CHUNK = 1 << 16
+
+
+def _same_bytes(a: str, b: str) -> bool:
+    fa = os.open(a, os.O_RDONLY)
+    try:
+        fb = os.open(b, os.O_RDONLY)
+        try:
+            while True:
+                chunk = os.read(fa, _COMPARE_CHUNK)
+                if chunk != os.read(fb, _COMPARE_CHUNK):
+                    return False
+                if not chunk:
+                    return True
+        finally:
+            os.close(fb)
+    finally:
+        os.close(fa)
+
+
+def _remove(path: str, st: os.stat_result) -> None:
+    """Remove one entry without following it: only a real directory is removed as a tree."""
+    if stat.S_ISDIR(st.st_mode):
+        shutil.rmtree(path)
+    else:
+        os.unlink(path)
+
+
+def _copy_stat_if_moved(src: str, dst: str, src_st: os.stat_result, dst_st: Optional[os.stat_result]) -> None:
+    """``copystat`` unless ``dst_st``, taken after the last change to ``dst``, already shows src's mode and mtime."""
+    if (dst_st is None or dst_st.st_mtime_ns != src_st.st_mtime_ns
+            or stat.S_IMODE(dst_st.st_mode) != stat.S_IMODE(src_st.st_mode)):
+        shutil.copystat(src, dst, follow_symlinks=False)
+
+
+def _listing(path: str, listings: dict[str, list]) -> list[tuple[str, str, os.stat_result]]:
+    """(name, path, lstat) of each entry of a pristine directory, read on the first call only."""
+    entries = listings.get(path)
+    if entries is None:
+        with os.scandir(path) as it:
+            entries = listings[path] = [(e.name, e.path, e.stat(follow_symlinks=False)) for e in it]
+    return entries
+
+
+def _restore_dir(src: str, dst: str, listings: dict[str, list]) -> bool:
+    """Make the directory ``dst`` hold what ``src`` holds; True when an entry of ``dst`` itself was added or removed."""
+    with os.scandir(dst) as it:
+        have = {e.name: e.stat(follow_symlinks=False) for e in it}
+    changed = False
+    for name, src_path, src_st in _listing(src, listings):
+        target = os.path.join(dst, name)
+        dst_st = have.pop(name, None)
+        if dst_st is not None and stat.S_IFMT(dst_st.st_mode) != stat.S_IFMT(src_st.st_mode):
+            _remove(target, dst_st)
+            dst_st = None
+        if stat.S_ISDIR(src_st.st_mode):
+            if dst_st is None:
+                shutil.copytree(src_path, target, symlinks=True)
+                changed = True
+            elif _restore_dir(src_path, target, listings):
+                shutil.copystat(src_path, target)
+            else:
+                _copy_stat_if_moved(src_path, target, src_st, dst_st)
+            continue
+        if stat.S_ISLNK(src_st.st_mode):
+            link = os.readlink(src_path)
+            if dst_st is not None and os.readlink(target) != link:
+                os.unlink(target)
+                dst_st = None
+            if dst_st is None:
+                os.symlink(link, target)
+                changed = True
+            _copy_stat_if_moved(src_path, target, src_st, dst_st)
+            continue
+        # a hard-linked file may share its inode with a file outside the tree: replace it, never write through it
+        if dst_st is not None and not (stat.S_ISREG(src_st.st_mode) and dst_st.st_nlink == 1
+                                       and dst_st.st_size == src_st.st_size and _same_bytes(src_path, target)):
+            os.unlink(target)
+            dst_st = None
+        if dst_st is None:
+            shutil.copy2(src_path, target, follow_symlinks=False)
+            changed = True
+        else:
+            _copy_stat_if_moved(src_path, target, src_st, dst_st)
+    for name, st in have.items():
+        _remove(os.path.join(dst, name), st)
+        changed = True
+    return changed
+
+
+def _restore_tree(pristine: Path, work: Path, listings: Optional[dict[str, list]] = None) -> None:
+    """Reset ``work``, an earlier copy of ``pristine``, to what ``copytree(pristine, symlinks=True)`` would make.
+
+    Types, bytes, link targets, modes and mtimes all end up equal to the
+    pristine tree's. A file is kept only when it is a regular file with one
+    link and the same bytes, compared in full: size and mtime alone would miss
+    an edit of the same size within one timestamp tick. Nothing is followed
+    through a symlink, and no existing inode is written to. Raises OSError
+    when the tree cannot be reset, and may then leave it half reset.
+
+    ``listings`` keeps the pristine tree's directory listings from one call
+    to the next; it is valid only while nothing changes the pristine tree.
+    """
+    src, dst = os.fspath(pristine), os.fspath(work)
+    dst_st = os.lstat(dst)
+    if not stat.S_ISDIR(dst_st.st_mode):
+        raise NotADirectoryError(dst)
+    if _restore_dir(src, dst, {} if listings is None else listings):
+        shutil.copystat(src, dst)
+    else:
+        _copy_stat_if_moved(src, dst, os.lstat(src), dst_st)
+
+
 class PairInputs:
     """What every attempt of one pair shares, prepared once per pair.
 
     The original logs are parsed up front. Each side's pristine tree is built
-    under ``pair_dir`` on the first attempt that needs it and copied in full
-    (``.git`` included, no hardlinks) into every attempt, so a job that edits
-    its tree cannot affect a later attempt. A tree that cannot be built fails
-    the same way every time, so its ``ReproductionError`` is kept as well.
+    under ``pair_dir`` on the first attempt that needs it; no job runs in it.
+    Jobs run in one working copy per side (``.git`` included, no hardlinks),
+    made on the side's first attempt and reset to the pristine tree by
+    ``_restore_tree`` before each later one, so a job that edits its tree
+    cannot affect a later attempt. A copy that cannot be reset is abandoned
+    for a fresh one. A tree that cannot be built fails the same way every
+    time, so its ``ReproductionError`` is kept as well.
     """
 
     def __init__(self, pair: JobPair, ctx: ReproductionContext, pair_dir: Path):
@@ -279,9 +398,12 @@ class PairInputs:
         self._connector = ctx.connector
         self._pair_dir = Path(pair_dir)
         self._trees: dict[str, WorkTree | ReproductionError] = {}
+        self._work: dict[str, Path] = {}
+        self._listings: dict[str, list] = {}  # pristine directory listings; no job runs in a pristine tree
+        self._copies = 0
 
-    def worktree(self, side: str, dest: Path) -> WorkTree:
-        """A fresh copy of the side's tree at ``dest``; raises ReproductionError if it cannot be built."""
+    def worktree(self, side: str) -> WorkTree:
+        """The side's working copy, equal to its pristine tree; raises ReproductionError if it cannot be built."""
         if side not in self._trees:
             coords = self._pair.failed_commits if side == "fail" else self._pair.passed_commits
             slug = self._pair.project.slug
@@ -294,19 +416,31 @@ class PairInputs:
         tree = self._trees[side]
         if isinstance(tree, ReproductionError):
             raise ReproductionError(str(tree), tree.reason)
-        shutil.copytree(tree.root, dest, symlinks=True)
-        return replace(tree, root=dest)
+        work = self._work.get(side)
+        if work is not None:
+            try:
+                _restore_tree(tree.root, work, self._listings)
+            except OSError:
+                work = None
+        if work is None:
+            # a new directory each time: an abandoned copy may hold files that cannot be removed
+            self._copies += 1
+            work = self._pair_dir / f"work-{self._copies}" / side
+            shutil.copytree(tree.root, work, symlinks=True)
+            self._work[side] = work
+        return replace(tree, root=work)
 
 
 @contextmanager
 def pair_inputs(pair: JobPair, ctx: ReproductionContext):
     """PairInputs whose trees live in a temporary directory removed on exit."""
-    with tempfile.TemporaryDirectory(prefix="failpass-pair-") as pair_dir:
+    # files a job leaves may not be removable (say, root-owned ones from a container); they stay, the run goes on
+    with tempfile.TemporaryDirectory(prefix="failpass-pair-", ignore_cleanup_errors=True) as pair_dir:
         yield PairInputs(pair, ctx, Path(pair_dir))
 
 
 def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str,
-                  workdir: Path, inputs: PairInputs) -> SideResult:
+                  inputs: PairInputs) -> SideResult:
     job = pair.failed_job if side == "fail" else pair.passed_job
     coords = pair.failed_commits if side == "fail" else pair.passed_commits
     original = inputs.originals[side]
@@ -320,7 +454,7 @@ def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str
     except ReproductionError as exc:
         return SideResult(matched=False, reason=exc.reason)
     try:
-        worktree = inputs.worktree(side, workdir / side)
+        worktree = inputs.worktree(side)
     except ReproductionError as exc:
         return SideResult(matched=False, reason=exc.reason)
     env = {"FAILPASS_SCRATCH": str(ctx.scratch_dir)} if ctx.scratch_dir else None
@@ -335,7 +469,7 @@ def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str
 
 def attempt_pair(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionContext,
                  attempt_index: int = 0, inputs: Optional[PairInputs] = None) -> tuple[SideResult, SideResult]:
-    """One reproduction attempt: both sides in fresh worktrees.
+    """One reproduction attempt: both sides in worktrees equal to their pristine trees.
 
     Without ``inputs`` the attempt prepares its own and removes them afterwards.
     """
@@ -345,10 +479,8 @@ def attempt_pair(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionContext
         with pair_inputs(pair, ctx) as own:
             return attempt_pair(pair, verdict, ctx, attempt_index, own)
     image = f"{verdict.image_ref.registry}/{verdict.image_ref.name}:{verdict.image_ref.tag}"
-    # files a job leaves may not be removable (say, root-owned ones from a container); they stay, the run goes on
-    with tempfile.TemporaryDirectory(prefix="failpass-attempt-", ignore_cleanup_errors=True) as workdir:
-        fail_result = _attempt_side(pair, "fail", ctx, image, Path(workdir), inputs)
-        pass_result = _attempt_side(pair, "pass", ctx, image, Path(workdir), inputs)
+    fail_result = _attempt_side(pair, "fail", ctx, image, inputs)
+    pass_result = _attempt_side(pair, "pass", ctx, image, inputs)
     if ctx.log_sink is not None:
         for side, res in (("fail", fail_result), ("pass", pass_result)):
             if res.outcome is not None:
@@ -373,28 +505,34 @@ def stability_from_attempts(attempts: list[tuple[bool, bool]]) -> str:
     return "flaky"
 
 
+def unreproducible_reason(reasons: list[Optional[str]]) -> str:
+    """The most common reason among sides that did not match; ties go to the earlier label in ``REASONS``.
+
+    A reason outside ``REASONS`` (say, an absent original log) counts as ``project_specific``.
+    """
+    counts = Counter(r if r in REASONS else "project_specific" for r in reasons)
+    return min(counts, key=lambda r: (-counts[r], REASONS.index(r)))
+
+
 def stability_protocol(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionContext,
                        n: int = DEFAULT_REPEATS) -> ReproductionRecord:
     """Repeat the reproduction n times and classify the pair."""
     if n < 1:
         raise ValueError("n must be >= 1")
     attempts: list[tuple[bool, bool]] = []
-    last_fail: Optional[SideResult] = None
+    mismatch_reasons: list[Optional[str]] = []
     with pair_inputs(pair, ctx) as inputs:
         for k in range(n):
             fail_result, pass_result = attempt_pair(pair, verdict, ctx, attempt_index=k, inputs=inputs)
             attempts.append((fail_result.matched, pass_result.matched))
-            last_fail = fail_result
+            mismatch_reasons += [r.reason for r in (fail_result, pass_result) if not r.matched]
     stability = stability_from_attempts(attempts)
     category = None
     reason = None
     if stability != "unreproducible":
         category = classify_reproduced(inputs.originals["fail"])
     else:
-        log_text = last_fail.outcome.log_text if last_fail and last_fail.outcome else ""
-        timed_out = bool(last_fail and last_fail.outcome and last_fail.outcome.timed_out)
-        generation_failed = bool(last_fail and last_fail.reason == "ci_command_issue")
-        reason = classify_unreproducible(log_text, timed_out=timed_out, generation_failed=generation_failed)
+        reason = unreproducible_reason(mismatch_reasons)
     return ReproductionRecord(
         pair_id=pair_id(pair),
         attempts=attempts,

@@ -5,12 +5,31 @@ from __future__ import annotations
 import json
 import stat
 import subprocess
+import tempfile
 import zipfile
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# the program's temp directories: each pair's trees, each pair's job scratch space, and the
+# per-attempt trees it made before one working copy per side was reset in place instead
+PROGRAM_TEMP_PREFIXES = ("failpass-pair-", "failpass-attempt-", "failpass-scratch-")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_temp_dirs():
+    """Fail a test that leaves one of the program's temp directories in the system temp directory."""
+    tmp = Path(tempfile.gettempdir())
+
+    def present():
+        return {p.name for p in tmp.iterdir() if p.name.startswith(PROGRAM_TEMP_PREFIXES)}
+
+    before = present()
+    yield
+    leaked = sorted(present() - before)
+    if leaked:
+        pytest.fail(f"left behind in {tmp}: {leaked}")
 
 WORKER = "worker-garnet-1512502259"
 LOG_TS = "2017-03-01T12:00:00Z"

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import itertools
 import os
+import shutil
 import tempfile
 import time
 from collections import Counter
@@ -31,6 +33,7 @@ from failpass.reproducer import (
     run_job,
     stability_from_attempts,
     stability_protocol,
+    unreproducible_reason,
 )
 from failpass.runtime import (
     KILLED_EXIT_STATUS,
@@ -42,6 +45,7 @@ from failpass.runtime import (
 from conftest import (
     PYTEST_FAIL_BODY,
     PYTEST_PASS_BODY,
+    _e2e_project,
     add_branch,
     build_record,
     fake_sha,
@@ -250,6 +254,18 @@ class TestClassification:
     def test_generation_failure_outranks_timeout(self):
         assert classify_unreproducible("", timed_out=True, generation_failed=True) == "ci_command_issue"
 
+    def test_pair_reason_is_the_most_common_mismatch(self):
+        assert unreproducible_reason(["did_not_finish"] * 2 + ["dependency_install_failed"]) == "did_not_finish"
+
+    def test_pair_reason_ties_go_by_reasons_order(self):
+        assert unreproducible_reason(["permission_issue", "project_specific", "stale_url_or_network",
+                                      "did_not_finish"]) == "stale_url_or_network"
+        assert unreproducible_reason(["permission_issue", "did_not_finish"]) == "did_not_finish"
+
+    def test_pair_reason_counts_unknown_labels_as_project_specific(self):
+        reasons = ["original log absent", "job configuration missing", "stale_url_or_network"]
+        assert unreproducible_reason(reasons) == "project_specific"
+
 
 class TestStability:
     def test_truth_table_exhaustive(self):
@@ -454,3 +470,77 @@ class TestSharedPairInputs:
         fail_result, pass_result = attempt_pair(pair, verdict, ctx)
         assert fail_result.matched and pass_result.matched
         assert list(tmp.iterdir()) == []
+
+
+def _counting_copies(monkeypatch):
+    """Replace shutil.copytree with a wrapper that counts copies of a pristine tree by its side."""
+    calls = Counter()
+    real = shutil.copytree
+
+    def wrapper(src, dst, *args, **kwargs):
+        # copytree calls itself for each subdirectory; a pristine tree sits right in the pair directory
+        if Path(src).parent.name.startswith("failpass-pair-"):
+            calls[Path(src).name] += 1
+        return real(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(shutil, "copytree", wrapper)
+    return calls
+
+
+class TestWorkingCopies:
+    def test_one_copy_per_side(self, edit_root, catalog_path, tmp_path, monkeypatch):
+        copies = _counting_copies(monkeypatch)
+        pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
+        ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        assert record.attempts == [(True, True)] * 5
+        assert copies == {"fail": 1, "pass": 1}
+
+    def test_failed_restore_falls_back_to_a_fresh_copy(self, edit_root, catalog_path, tmp_path, monkeypatch):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
+        ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
+        clean = stability_protocol(pair, verdict, ctx, n=5)
+        copies = _counting_copies(monkeypatch)
+        real = reproducer._restore_tree
+        failed = []
+
+        def restore_failing_once(pristine, work, listings):
+            if failed:
+                return real(pristine, work, listings)
+            failed.append(Path(work).name)
+            # the job's edit of state.txt is still in the copy: reusing it would fail the next attempt
+            raise PermissionError(errno.EACCES, "Permission denied", str(work))
+
+        monkeypatch.setattr(reproducer, "_restore_tree", restore_failing_once)
+        faulted = stability_protocol(pair, verdict, ctx, n=5)
+        assert faulted == clean
+        assert clean.attempts == [(True, True)] * 5
+        (side,) = failed
+        assert copies[side] == 2 and sum(copies.values()) == 3
+        assert list(tmp.iterdir()) == []
+
+
+def test_unreproducible_reason_comes_from_the_side_that_did_not_match(catalog_path, tmp_path):
+    # the fail side reproduces every time; the pass side cannot reach the network
+    root = tmp_path / "net-world"
+    network_script = "#!/bin/sh\necho 'Could not resolve host: pypi.org'\nexit 1\n"
+    _e2e_project(root, "acme/netproj", "python", PYTEST_FAIL_BODY, PYTEST_PASS_BODY, (5001, 5002), (501, 502),
+                 pass_script=network_script)
+    pair, verdict = _mined_verdict(root, "acme/netproj", "python", catalog_path)
+    ctx = _context_for(root, "acme/netproj", "python", tmp_path)
+    record = stability_protocol(pair, verdict, ctx, n=3)
+    assert record.attempts == [(True, False)] * 3
+    assert (record.stability, record.unreproducibility_reason) == ("unreproducible", "stale_url_or_network")
+
+
+def test_unreproducible_reason_of_a_script_that_cannot_be_generated(e2e_root, catalog_path, tmp_path):
+    pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
+    ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
+    job_id = pair.failed_job.job_id
+    ctx.raw_configs[job_id] = {**ctx.raw_configs[job_id], "services": ["redis"]}
+    record = stability_protocol(pair, verdict, ctx, n=2)
+    assert record.attempts == [(False, True)] * 2
+    assert (record.stability, record.unreproducibility_reason) == ("unreproducible", "ci_command_issue")
