@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -166,6 +167,20 @@ def cmd_artifact(args):
     artifact_cleanup(store, args.tag, runtime, purge=args.purge)
 
 
+def _number(kind, ok, rule: str):
+    """An argparse type: ``kind(text)``, a usage error naming the flag unless ``ok(value)``.
+
+    It keeps the name of ``kind``, so text that is no number still reads "invalid int value".
+    """
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="failpass", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -175,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", help="fixture directory (default: FAILPASS_FIXTURE_DIR)")
     p.add_argument("--language", help="project primary language override")
     p.add_argument("--out", default="-", help="pairs JSONL output (default stdout)")
-    p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("filter", help="filter mined pairs for reproducibility essentials")
     p.add_argument("--pairs", required=True)
@@ -183,48 +197,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--docker-cutoff", help="container-era cutoff, ISO-8601")
     p.add_argument("--fixture")
-    p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("reproduce", help="reproduce filtered pairs with the stability protocol")
     p.add_argument("--verdicts", required=True)
-    p.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
-    p.add_argument("--timeout-s", type=float, default=DEFAULT_TIMEOUT_S)
+    p.add_argument("--repeats", type=_number(int, lambda v: v >= 1, "at least 1"), default=DEFAULT_REPEATS)
+    p.add_argument("--timeout-s", type=_number(float, lambda v: v > 0, "above 0"), default=DEFAULT_TIMEOUT_S)
     p.add_argument("--out", default="-")
     p.add_argument("--output-dir", default="output", help="reproduced log directory")
     p.add_argument("--fixture")
-    p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("analyze", help="parse one CI log into structured attributes")
     p.add_argument("log_file")
     p.add_argument("--language", required=True, choices=["java", "python"])
     p.add_argument("--json", action="store_true", help="compact single-line JSON")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("stats", help="dataset statistics over the artifact store")
     p.add_argument("--store")
     p.add_argument("--metric", default="changes", choices=["changes", "files_changed", "failing_tests"])
     p.add_argument("--errors", metavar="LANGUAGE", help="emit the error frequency report instead")
-    p.add_argument("--top", type=int, default=10)
-    p.set_defaults(func=cmd_stats)
+    p.add_argument("--top", type=_number(int, lambda v: v >= 0, "at least 0"), default=10)
 
     p = sub.add_parser("query", help="query artifact metadata")
     p.add_argument("expression")
     p.add_argument("--store")
-    p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("artifact", help="fetch/shell/cleanup artifact containers")
     p.add_argument("action", choices=["fetch", "shell", "cleanup"])
     p.add_argument("tag")
     p.add_argument("--purge", action="store_true")
     p.add_argument("--store")
-    p.set_defaults(func=cmd_artifact)
 
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: building one takes 1-2 ms, half or more of a small read."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.func(args)
+    args = _shared_parser().parse_args(argv)
+    # looked up at call time, so a replaced cmd_* runs even though the parser outlives it
+    globals()[f"cmd_{args.command}"](args)
     return 0
 
 

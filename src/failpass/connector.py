@@ -150,12 +150,81 @@ def _git(repo: os.PathLike, *args: str, check: bool = True) -> subprocess.Comple
     )
 
 
-def commit_exists(repo: os.PathLike, sha: str) -> bool:
-    """True iff sha resolves to a commit in the local clone."""
+def commit_exists(repo, sha: str) -> bool:
+    """True iff sha resolves to a commit in the local clone.
+
+    ``repo`` is the clone's path, or a ``CommitProbe`` open on it, which
+    gives the same answer without starting a git process per lookup.
+    """
+    if isinstance(repo, CommitProbe):
+        return repo.exists(sha)
     if not Path(repo).exists():
         raise ConnectorError(f"repository clone missing: {repo}")
     result = _git(repo, "cat-file", "-e", f"{sha}^{{commit}}", check=False)
     return result.returncode == 0
+
+
+class CommitProbe:
+    """One ``git cat-file --batch-check`` answering commit lookups in one clone.
+
+    Each lookup sends ``<sha>^{commit}``, so every answer is the one of
+    ``git cat-file -e <sha>^{commit}``: true for a commit no ref reaches and
+    for a tag that peels to a commit, false for a tree, a blob, a missing
+    name or an ambiguous prefix. The process starts at the first lookup and
+    ends at ``close``. A name that cannot be sent unchanged as one line (a
+    line break, NUL, surrounding whitespace, a character with no file-system
+    encoding) is looked up with the one-shot command instead, and so is a
+    name on which git dies (``@{upstream}`` without an upstream, say); the
+    next lookup starts a new process.
+    """
+
+    def __init__(self, repo: os.PathLike):
+        self.repo = repo
+        self._proc: Optional[subprocess.Popen] = None
+
+    def __enter__(self) -> CommitProbe:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def exists(self, sha: str) -> bool:
+        if not Path(self.repo).exists():
+            raise ConnectorError(f"repository clone missing: {self.repo}")
+        if "\n" in sha or "\0" in sha or sha != sha.strip():
+            return commit_exists(self.repo, sha)
+        try:
+            line = os.fsencode(f"{sha}^{{commit}}\n")
+        except UnicodeEncodeError:
+            return commit_exists(self.repo, sha)
+        if self._proc is None:
+            self._proc = subprocess.Popen(
+                ["git", "-C", str(self.repo), "cat-file", "--batch-check=%(objecttype)"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+            )
+        try:
+            self._proc.stdin.write(line)
+            self._proc.stdin.flush()
+            answer = self._proc.stdout.readline()
+        except BrokenPipeError:
+            answer = b""
+        if not answer:  # git died on this name
+            self.close()
+            return commit_exists(self.repo, sha)
+        # any other answer ends in " missing" or " ambiguous"
+        return answer == b"commit\n"
+
+    def close(self) -> None:
+        """End the batch process, if one is running, and wait for it."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()
+        except BrokenPipeError:
+            pass
+        proc.stdout.close()
+        proc.wait()
 
 
 def clone_at(repo: os.PathLike, sha: str, dest: os.PathLike) -> Path:

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import logging
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
-from .connector import FixtureConnector, commit_exists
+from .connector import CommitProbe, FixtureConnector, commit_exists
 from .model import (
     Availability,
     Build,
@@ -79,6 +80,7 @@ def extract_fail_pass_build_pairs(group: BuildGroup) -> list[tuple[Build, Build]
 def assign_commits(build: Build, repo, archive_has) -> CommitCoordinates:
     """Recover commit coordinates and decide availability for one build.
 
+    ``repo`` is the clone's path, an open ``CommitProbe`` on it, or None.
     ``archive_has(sha) -> bool`` probes the code-host zip archive. For PR
     builds the service-reported sha is the phantom merge; the trigger and
     base shas live in the stored merge commit message. Availability holds
@@ -195,12 +197,17 @@ def mine_history(project: Project, history: list[Build], assign) -> list[JobPair
 
 
 def mine(slug: str, connector: FixtureConnector, language: Optional[str] = None) -> list[JobPair]:
-    """Run the full mining pipeline for one project."""
+    """Run the full mining pipeline for one project.
+
+    Commit lookups share one ``git cat-file --batch-check`` process, which
+    ends before this returns or raises.
+    """
     history = connector.fetch_build_history(slug)
     repo = connector.repo_path(slug)
     archive_has = lambda sha: connector.archive_has(slug, sha)
     project = Project(slug=slug, primary_language=language or _guess_language(history) or "other")
-    return mine_history(project, history, lambda b: assign_commits(b, repo, archive_has))
+    with CommitProbe(repo) if repo is not None else nullcontext() as probe:
+        return mine_history(project, history, lambda b: assign_commits(b, probe, archive_has))
 
 
 def _guess_language(history: list[Build]) -> Optional[str]:

@@ -221,15 +221,12 @@ _DEPENDENCY_RE = re.compile(r"during install\.|Could not resolve dependencies|No
 _PERMISSION_RE = re.compile(r"Permission denied|EACCES|Operation not permitted")
 
 
-def classify_unreproducible(log_text: str, timed_out: bool = False,
-                            generation_failed: bool = False) -> str:
+def classify_unreproducible(log_text: str, timed_out: bool = False) -> str:
     """Ordered rule list mapping a failed reproduction to a reason label."""
     if _DEPENDENCY_RE.search(log_text):
         return "dependency_install_failed"
     if _NETWORK_RE.search(log_text):
         return "stale_url_or_network"
-    if generation_failed:
-        return "ci_command_issue"
     if timed_out:
         return "did_not_finish"
     if _PERMISSION_RE.search(log_text):

@@ -1,10 +1,13 @@
+import io
 import json
 import re
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+from failpass import cli
 from failpass.cli import _write_jsonl, main
 from failpass.connector import FixtureConnector
 from failpass.runtime import LocalRuntime, RuntimeUnavailable
@@ -258,3 +261,78 @@ class TestParser:
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["reproduce", "--verdicts", "absent.jsonl", "--repeats", "0"], "--repeats"),
+        (["reproduce", "--verdicts", "absent.jsonl", "--timeout-s", "0"], "--timeout-s"),
+        (["reproduce", "--verdicts", "absent.jsonl", "--timeout-s", "-2.5"], "--timeout-s"),
+        (["stats", "--store", "absent.jsonl", "--errors", "python", "--top", "-3"], "--top"),
+    ])
+    def test_out_of_range_number_is_a_usage_error(self, argv, flag, monkeypatch, capsys):
+        monkeypatch.setattr(cli, f"cmd_{argv[0]}", lambda args: pytest.fail("the command ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: argument {flag}: must be" in capsys.readouterr().err
+
+    def test_number_that_is_not_a_number_keeps_its_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["stats", "--top", "many"])
+        assert "argument --top: invalid int value: 'many'" in capsys.readouterr().err
+
+    def test_lowest_accepted_numbers(self):
+        args = cli.build_parser().parse_args(["reproduce", "--verdicts", "v", "--repeats", "1", "--timeout-s", "0.5"])
+        assert (args.repeats, args.timeout_s) == (1, 0.5)
+        assert cli.build_parser().parse_args(["stats", "--top", "0"]).top == 0
+
+
+def _run(argv) -> tuple:
+    """(exit status, stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    @pytest.fixture()
+    def fresh_parsers(self, monkeypatch):
+        """Counts the parsers built from here on, starting with none shared."""
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        monkeypatch.setenv("COLUMNS", "80")
+        cli._shared_parser.cache_clear()
+        yield built
+        cli._shared_parser.cache_clear()
+
+    def test_one_parser_serves_every_call_unchanged(self, widgets_root, seeded_store, fresh_parsers):
+        calls = [
+            ["mine", "acme/widgets", "--fixture", str(widgets_root), "--language", "java"],
+            ["query", "language=Java", "--store", str(seeded_store)],
+            ["stats", "--store", str(seeded_store), "--top", "-3"],
+            ["stats", "--store", str(seeded_store), "--errors", "python"],
+            ["--help"], ["mine", "--help"], ["frobnicate"],
+        ]
+        fresh = []
+        for argv in calls:
+            cli._shared_parser.cache_clear()
+            fresh.append(_run(argv))
+        assert len(fresh_parsers) == len(calls)
+        cli._shared_parser.cache_clear()
+        fresh_parsers.clear()
+        assert [_run(argv) for argv in calls] == fresh
+        assert len(fresh_parsers) == 1
+        assert [rc for rc, _, _ in fresh] == [0, 0, 2, 0, 0, 0, 2]
+
+    def test_replaced_command_runs_after_the_parser_is_built(self, seeded_store, fresh_parsers, monkeypatch):
+        argv = ["query", "language=Java", "--store", str(seeded_store)]
+        assert _run(argv)[1].count("\n") == 1
+        seen = []
+        monkeypatch.setattr(cli, "cmd_query", lambda args: seen.append(args.expression))
+        assert _run(argv) == (0, "", "")
+        assert seen == ["language=Java"]
+        assert len(fresh_parsers) == 1

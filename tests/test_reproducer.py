@@ -246,13 +246,9 @@ class TestClassification:
         both = 'pip failed and exited with 1 during install.\nCould not resolve host pypi.org\n'
         assert classify_unreproducible(both) == "dependency_install_failed"
         assert classify_unreproducible("Could not resolve host x.com") == "stale_url_or_network"
-        assert classify_unreproducible("", generation_failed=True) == "ci_command_issue"
         assert classify_unreproducible("", timed_out=True) == "did_not_finish"
         assert classify_unreproducible("sh: Permission denied") == "permission_issue"
         assert classify_unreproducible("something else entirely") == "project_specific"
-
-    def test_generation_failure_outranks_timeout(self):
-        assert classify_unreproducible("", timed_out=True, generation_failed=True) == "ci_command_issue"
 
     def test_pair_reason_is_the_most_common_mismatch(self):
         assert unreproducible_reason(["did_not_finish"] * 2 + ["dependency_install_failed"]) == "did_not_finish"
