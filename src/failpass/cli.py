@@ -151,8 +151,8 @@ def cmd_stats(args):
 
 
 def cmd_query(args):
-    for record in _store(args).query(args.expression):
-        print(json.dumps(record.to_dict()))
+    # written line by line: a joined string would hold a second copy of every hit
+    sys.stdout.writelines(_store(args).query(args.expression))
 
 
 def cmd_artifact(args):

@@ -2,9 +2,11 @@
 
 The store is an append-only JSON-lines file under an advisory file lock.
 Beside it, the sidecar ``<store>.idx`` is a derived key directory: every
-queryable scalar of every record, each record's error-tag names, and where
-its line lies in the store. Queries and statistics run on the sidecar and
-decode only the records they return. The sidecar is trusted only while its
+queryable scalar of every record, each record's error-tag names, where its
+line lies in the store, and whether that line is already the codec's
+encoding. Queries and statistics run on the sidecar; a query copies the
+lines of its hits and decodes only those that are not the codec's
+encoding. The sidecar is trusted only while its
 stamp, the store's (inode, size, mtime_ns), matches; on any mismatch it is
 rebuilt from the store, so deleting it is always safe. A last line without
 a newline that does not parse, as a crash mid-append leaves, is skipped by
@@ -15,6 +17,7 @@ plus one deletion).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import fcntl
@@ -172,7 +175,7 @@ def compute_diff_metrics(failing_tree: Path, passing_tree: Path) -> tuple[int, i
 
 # --- store -----------------------------------------------------------------
 
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 
 
 class StoreError(Exception):
@@ -201,7 +204,20 @@ def _column_specs() -> tuple:
 
 
 def _index_fields() -> list[str]:
-    return [name for name, *_ in _column_specs()] + ["error_tags", "offset", "length"]
+    return [name for name, *_ in _column_specs()] + ["error_tags", "offset", "length", "verbatim"]
+
+
+def _line(record: ArtifactMetadata) -> str:
+    """The store line of ``record``, newline included: what ``persist`` writes and ``query`` returns."""
+    return json.dumps(record.to_dict()) + "\n"
+
+
+def _verbatim(raw: bytes, d: dict) -> bool:
+    """Whether the stored line ``raw`` is byte for byte ``_line`` of the record its object ``d`` decodes to."""
+    try:
+        return raw == _line(ArtifactMetadata.from_dict(d)).encode()
+    except (ValueError, TypeError, KeyError, AttributeError):
+        return False
 
 
 class StoreIndex:
@@ -210,11 +226,13 @@ class StoreIndex:
     One column per field, holding a value per record in store order: every
     queryable scalar, under its dotted name and with the codec's default
     where the line lacks the key; ``error_tags``, each record's distinct
-    error-tag names; and the ``offset`` and ``length`` of its line.
-    ``stamp`` is the (st_ino, st_size, st_mtime_ns) of the store it
-    describes and ``end`` the bytes it covers; a torn last line lies past
-    ``end``. Columns read from a sidecar stay JSON text until first used, so
-    a read parses only the columns it needs.
+    error-tag names; the ``offset`` and ``length`` of its line; and
+    ``verbatim``, whether that line, newline included, is already what
+    ``_line`` gives for its record, so a query may copy it. ``stamp`` is
+    the (st_ino, st_size, st_mtime_ns) of the store it describes and
+    ``end`` the bytes it covers; a torn last line lies past ``end``.
+    Columns read from a sidecar stay JSON text until first used, so a read
+    parses only the columns it needs.
     """
 
     def __init__(self, stamp=(), end: int = 0, rows: int = 0, columns: Optional[dict] = None):
@@ -229,7 +247,7 @@ class StoreIndex:
         """An in-memory index over decoded records; its offsets and lengths are unused."""
         index = cls()
         for r in records:
-            index.add(r.to_dict(), 0, 0)
+            index.add(r.to_dict(), 0, 0, False)
         return index
 
     def column(self, name: str) -> list:
@@ -238,7 +256,7 @@ class StoreIndex:
             values = self._columns[name] = json.loads(values.decode())
         return values
 
-    def add(self, d: dict, offset: int, length: int) -> None:
+    def add(self, d: dict, offset: int, length: int, verbatim: bool) -> None:
         """Append the row of one store line's JSON object; KeyError if it lacks a required field."""
         values = []
         for name, outer, key, default in _column_specs():
@@ -246,7 +264,7 @@ class StoreIndex:
             if value is dataclasses.MISSING:
                 raise KeyError(name)
             values.append(value)
-        values += [list(dict.fromkeys(name for name, _ in d.get("error_tags", ()))), offset, length]
+        values += [list(dict.fromkeys(name for name, _ in d.get("error_tags", ()))), offset, length, verbatim]
         for (name, column), value in zip(self._columns.items(), values):
             if isinstance(column, bytes):  # extend the JSON text rather than parse it
                 sep = b"," if self.rows else b""
@@ -315,7 +333,7 @@ class ArtifactStore:
             yield fh
 
     def _lines(self, fh):
-        """(line number, offset, length, object) per non-blank line, from the start of the store.
+        """(line number, offset, line bytes, object) per non-blank line, from the start of the store.
 
         A last line without a newline that does not parse is what a crash
         mid-append leaves; it yields ``None`` as its object and ends the
@@ -334,9 +352,9 @@ class ArtifactStore:
             except ValueError as exc:
                 if raw.endswith(b"\n"):
                     raise self._bad_line(line_no, exc) from None
-                yield line_no, start, len(raw), None
+                yield line_no, start, raw, None
                 return
-            yield line_no, start, len(raw), d
+            yield line_no, start, raw, d
 
     def _bad_line(self, line_no: int, exc: Exception) -> StoreError:
         return StoreError(f"{self.path}, line {line_no}: {type(exc).__name__}: {exc}")
@@ -345,12 +363,12 @@ class ArtifactStore:
         """The index of the whole store, one line at a time."""
         stamp = _stamp(fh)
         index = StoreIndex(stamp, end=stamp[1])
-        for line_no, offset, length, d in self._lines(fh):
+        for line_no, offset, raw, d in self._lines(fh):
             if d is None:
                 index.end = offset
                 break
             try:
-                index.add(d, offset, length)
+                index.add(d, offset, len(raw), _verbatim(raw, d))
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise self._bad_line(line_no, exc) from None
         return index
@@ -380,10 +398,13 @@ class ArtifactStore:
         finally:
             tmp.unlink(missing_ok=True)
 
+    def _read(self, fh, index: StoreIndex, row: int) -> bytes:
+        fh.seek(index.column("offset")[row])
+        return fh.read(index.column("length")[row])
+
     def _decode(self, fh, index: StoreIndex, row: int) -> ArtifactMetadata:
         offset = index.column("offset")[row]
-        fh.seek(offset)
-        raw = fh.read(index.column("length")[row])
+        raw = self._read(fh, index, row)
         try:
             return ArtifactMetadata.from_dict(json.loads(raw.decode()))
         except (ValueError, TypeError, KeyError) as exc:
@@ -415,8 +436,7 @@ class ArtifactStore:
 
         A torn last line is cut off first, and the index grows by one row.
         """
-        d = record.to_dict()
-        line = (json.dumps(d) + "\n").encode()
+        line = _line(record).encode()
         with self._locked(exclusive=True) as fh:
             index = self._index(fh, save=False)
             if record.image_tag in index.column("image_tag"):
@@ -430,7 +450,8 @@ class ArtifactStore:
                     prefix = b"\n"
             fh.write(prefix + line)
             fh.flush()
-            index.add(d, index.end + len(prefix), len(line))
+            d = json.loads(line)  # the row a rebuild would make from this line
+            index.add(d, index.end + len(prefix), len(line), _verbatim(line, d))
             index.stamp = _stamp(fh)
             index.end = index.stamp[1]
             self._save(index)
@@ -446,8 +467,13 @@ class ArtifactStore:
                 return None
             return self._decode(fh, index, row)
 
-    def query(self, expression: str) -> list[ArtifactMetadata]:
-        """Records matching ``expression``: the terms run on the index, and only the hits are decoded."""
+    def query(self, expression: str) -> list[str]:
+        """The JSON line of each record matching ``expression``, newline included, in store order.
+
+        The terms run on the index. A hit whose stored line is already the
+        codec's encoding is copied as it is; any other is decoded and
+        encoded again. Decode a line with ``ArtifactMetadata.from_dict(json.loads(line))``.
+        """
         terms = _parse_terms(expression)
         with self._locked() as fh:
             if fh is None:
@@ -457,7 +483,9 @@ class ArtifactStore:
             for fld, compare, rhs in terms:
                 column = index.column(fld)
                 rows = [i for i in rows if _holds(column[i], compare, rhs)]
-            return [self._decode(fh, index, i) for i in rows]
+            verbatim = index.column("verbatim")
+            return [self._read(fh, index, i).decode() if verbatim[i] else _line(self._decode(fh, index, i))
+                    for i in rows]
 
 
 # --- query sublanguage -----------------------------------------------------
@@ -593,6 +621,9 @@ class HistogramSpec:
         edges = [b[0] for b in self.bins]
         if edges != sorted(set(edges)) or any(lo > hi for lo, hi in self.bins):
             raise ValueError("bin edges must be strictly ascending")
+        # stats() finds a value's bin by its lower edge, which is exact only for disjoint bins
+        if any(hi >= next_lo for (_, hi), (next_lo, _) in zip(self.bins, self.bins[1:])):
+            raise ValueError("bins must not overlap")
 
 
 def _as_index(records) -> StoreIndex:
@@ -601,16 +632,19 @@ def _as_index(records) -> StoreIndex:
 
 def stats(records: Iterable[ArtifactMetadata] | StoreIndex, spec: HistogramSpec) -> dict:
     """Per-bin counts plus a flagged overflow bucket for out-of-range values."""
-    counts = {f"{lo}-{hi}" if lo != hi else str(lo): 0 for lo, hi in spec.bins}
+    lows = [lo for lo, _ in spec.bins]
+    highs = [hi for _, hi in spec.bins]
+    counts = [0] * len(spec.bins)
     overflow = 0
     for value in _as_index(records).column(_METRIC_FIELDS[spec.metric]):
-        for lo, hi in spec.bins:
-            if lo <= value <= hi:
-                counts[f"{lo}-{hi}" if lo != hi else str(lo)] += 1
-                break
+        # the only bin that can hold value is the last one starting at or below it
+        k = bisect.bisect_right(lows, value) - 1
+        if k >= 0 and value <= highs[k]:
+            counts[k] += 1
         else:
             overflow += 1
-    out = {"metric": spec.metric, "bins": counts}
+    labels = [f"{lo}-{hi}" if lo != hi else str(lo) for lo, hi in spec.bins]
+    out = {"metric": spec.metric, "bins": dict(zip(labels, counts))}
     if overflow:
         out["overflow"] = overflow
     return out

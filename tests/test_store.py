@@ -1,3 +1,4 @@
+import json
 import random
 import subprocess
 from pathlib import Path
@@ -47,6 +48,11 @@ def mk_record(tag="acme-widgets-11", language="Java", changes=10, files=2,
         branch="master",
         error_tags=tuple(error_tags),
     )
+
+
+def decode_lines(lines) -> list[ArtifactMetadata]:
+    """The records of the JSON lines that ``ArtifactStore.query`` returns."""
+    return [ArtifactMetadata.from_dict(json.loads(line)) for line in lines]
 
 
 class TestImageTag:
@@ -303,7 +309,7 @@ class TestQuery:
         store = ArtifactStore(tmp_path / "store.jsonl")
         for r in self.RECORDS:
             store.persist(r)
-        assert [r.image_tag for r in store.query("category=error_pass")] == ["a-b-2"]
+        assert store.query("category=error_pass") == [json.dumps(self.RECORDS[1].to_dict()) + "\n"]
 
 
 class TestStats:
@@ -335,6 +341,53 @@ class TestStats:
             HistogramSpec(metric="bogus")
         with pytest.raises(ValueError):
             HistogramSpec(metric="changes", bins=((10, 20), (5, 8)))
+
+    def test_overlapping_bins_rejected(self):
+        for bins in (((1, 10), (10, 20)), ((1, 10), (5, 8)), ((1, 3), (4, 9), (6, 7))):
+            with pytest.raises(ValueError, match="overlap"):
+                HistogramSpec(metric="changes", bins=bins)
+        assert HistogramSpec(metric="changes", bins=((1, 9), (10, 20))).bins == ((1, 9), (10, 20))
+
+    @staticmethod
+    def first_match(values, bins) -> dict:
+        """The reference: try every bin for every value, first match wins."""
+        counts = {f"{lo}-{hi}" if lo != hi else str(lo): 0 for lo, hi in bins}
+        overflow = 0
+        for value in values:
+            for lo, hi in bins:
+                if lo <= value <= hi:
+                    counts[f"{lo}-{hi}" if lo != hi else str(lo)] += 1
+                    break
+            else:
+                overflow += 1
+        return {"bins": counts, **({"overflow": overflow} if overflow else {})}
+
+    @staticmethod
+    def disjoint(steps) -> tuple:
+        """Bins from (gap, width) steps: each starts ``gap`` past the end of the one before."""
+        bins, lo = [], 0
+        for gap, width in steps:
+            lo += gap
+            bins.append((lo, lo + width))
+            lo += width + 1
+        return tuple(bins)
+
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)), min_size=1, max_size=6),
+           st.lists(st.one_of(st.integers(-3, 80), st.floats(-3, 80)), max_size=40))
+    @example([(1, 4), (0, 14)], [0, 1, 5, 5.5, 6, 20, 21])
+    @example([(1, 0), (1, 0)], [1, 2, 3, 4, float("nan")])
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_bisect_equals_first_match(self, steps, values):
+        bins = self.disjoint(steps)
+        records = [mk_record(tag=f"a-b-{i}", changes=v) for i, v in enumerate(values, 1)]
+        out = stats(records, HistogramSpec(metric="changes", bins=bins))
+        assert out == {"metric": "changes", **self.first_match(values, bins)}
+
+    @pytest.mark.parametrize("value", [None, "5"])
+    def test_value_that_is_no_number_raises(self, value):
+        records = [mk_record(tag="a-b-1", changes=3), mk_record(tag="a-b-2", changes=value)]
+        with pytest.raises(TypeError):
+            stats(records, HistogramSpec(metric="changes"))
 
     @given(st.lists(st.integers(1, 37363), max_size=30))
     @settings(deadline=None)

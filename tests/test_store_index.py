@@ -1,5 +1,7 @@
 """The store's key-directory sidecar answers exactly as a full decode of the store does."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -21,7 +23,7 @@ from failpass.store import (
     parse_query,
     stats,
 )
-from test_store import mk_record
+from test_store import decode_lines, mk_record
 
 # --- a full-decode oracle, written without the index -------------------------
 
@@ -179,7 +181,7 @@ def check_read(store: ArtifactStore, op: str, arg) -> None:
     truth = oracle_records(store.path)
     if op == "query":
         predicate = parse_query(arg)
-        assert store.query(arg) == [r for r in truth if predicate(r)]
+        assert store.query(arg) == [json.dumps(r.to_dict()) + "\n" for r in truth if predicate(r)]
     elif op == "stats":
         assert stats(store.index(), store_mod.HistogramSpec(arg)) == oracle_stats(truth, arg)
     elif op == "errors":
@@ -228,7 +230,7 @@ class TestSidecar:
 
     def test_reader_rebuilds_a_deleted_sidecar(self, two_records):
         two_records.index_path.unlink()
-        assert [r.image_tag for r in two_records.query("language=python")] == ["a-b-2"]
+        assert [r.image_tag for r in decode_lines(two_records.query("language=python"))] == ["a-b-2"]
         assert two_records.index_path.exists()
         assert sorted(p.name for p in two_records.path.parent.iterdir()) == ["store.jsonl", "store.jsonl.idx"]
 
@@ -238,7 +240,7 @@ class TestSidecar:
         assert lines[at] == b"[10,600]"
         lines[at] = b"[10,100]"  # the header still matches the store; only the CRC tells
         two_records.index_path.write_bytes(b"\n".join(lines))
-        assert [r.image_tag for r in two_records.query("num_changes>=500")] == ["a-b-2"]
+        assert [r.image_tag for r in decode_lines(two_records.query("num_changes>=500"))] == ["a-b-2"]
         assert b"[10,600]" in two_records.index_path.read_bytes()
 
     def test_first_append_after_an_empty_store_was_read(self, tmp_path):
@@ -247,14 +249,14 @@ class TestSidecar:
         assert store.query("language=java") == [] and store.index_path.exists()
         store.persist(mk_record(tag="a-b-1"))
         store.persist(mk_record(tag="a-b-2"))
-        assert [r.image_tag for r in store.query("language=java")] == ["a-b-1", "a-b-2"]
+        assert [r.image_tag for r in decode_lines(store.query("language=java"))] == ["a-b-1", "a-b-2"]
         assert store.load() == [mk_record(tag="a-b-1"), mk_record(tag="a-b-2")]
 
     def test_absent_keys_take_the_codec_defaults(self, two_records):
         with two_records.path.open("ab") as fh:
             fh.write(raw_line(mk_record(tag="a-b-3", language="Java", changes=77),
                               drop=("num_changes", "error_tags")))
-        (record,) = two_records.query("num_changes=0")
+        (record,) = decode_lines(two_records.query("num_changes=0"))
         assert record.image_tag == "a-b-3" and record.num_changes == 0 and record.error_tags == ()
         assert stats(two_records.index(), store_mod.HistogramSpec("changes"))["overflow"] == 1
         assert error_frequency_report(two_records.index(), "java") == [("NullPointerException", 1)]
@@ -274,6 +276,32 @@ class TestSidecar:
         assert stats(store.index(), store_mod.HistogramSpec("changes"))["bins"]["1-5"] == 0
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("layout", ["version_1", "version_1_with_verbatim"])
+    def test_version_1_sidecar_is_rebuilt(self, two_records, monkeypatch, layout):
+        # a line that is not the codec's encoding; a sidecar that marked it verbatim would have it copied
+        with two_records.path.open("ab") as fh:
+            fh.write(raw_line(mk_record(tag="a-b-3", changes=77), drop=("num_changes",)))
+        two_records.index()
+        lines = two_records.index_path.read_bytes().split(b"\n")[:-2]
+        head = json.loads(lines[0])
+        at = head["fields"].index("verbatim") + 1
+        assert head["version"] == 2 and lines[at] == b"[true,true,false]"
+        if layout == "version_1":  # the columns that version 1 had, whole and for this store
+            del lines[at]
+            head["fields"].remove("verbatim")
+        else:
+            lines[at] = b"[true,true,true]"
+        lines[0] = json.dumps({**head, "version": 1}).encode()
+        body = b"\n".join(lines) + b"\n"
+        two_records.index_path.write_bytes(body + b"%d\n" % zlib.crc32(body))
+        built = []
+        build = ArtifactStore._build
+        monkeypatch.setattr(ArtifactStore, "_build", lambda self, fh: built.append(1) or build(self, fh))
+        assert two_records.query("branch=master") == [json.dumps(r.to_dict()) + "\n"
+                                                      for r in oracle_records(two_records.path)]
+        assert built == [1]
+        assert json.loads(two_records.index_path.read_bytes().partition(b"\n")[0])["version"] == 2
+
     def test_unwritable_sidecar_keeps_the_index_in_memory(self, two_records, monkeypatch):
         two_records.index_path.unlink()
 
@@ -281,7 +309,7 @@ class TestSidecar:
             raise PermissionError("read-only directory")
 
         monkeypatch.setattr(store_mod.os, "replace", refuse)
-        assert [r.image_tag for r in two_records.query("num_changes>=600")] == ["a-b-2"]
+        assert [r.image_tag for r in decode_lines(two_records.query("num_changes>=600"))] == ["a-b-2"]
         assert error_frequency_report(two_records.index(), "python") == [("ValueError", 1)]
         two_records.persist(mk_record(tag="a-b-3"))
         assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2", "a-b-3"]
@@ -317,7 +345,7 @@ class TestTornLastLine:
         with two_records.path.open("ab") as fh:
             fh.write(self.TORN)
         assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2"]
-        assert [r.image_tag for r in two_records.query("branch=master")] == ["a-b-1", "a-b-2"]
+        assert [r.image_tag for r in decode_lines(two_records.query("branch=master"))] == ["a-b-1", "a-b-2"]
         assert sum(stats(two_records.index(), store_mod.HistogramSpec("changes"))["bins"].values()) == 2
         assert two_records.get("a-b-3") is None
 
@@ -336,7 +364,8 @@ class TestTornLastLine:
             fh.write(raw_line(mk_record(tag="a-b-3")).rstrip(b"\n"))
         assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2", "a-b-3"]
         two_records.persist(mk_record(tag="a-b-4"))
-        assert [r.image_tag for r in two_records.query("branch=master")] == ["a-b-1", "a-b-2", "a-b-3", "a-b-4"]
+        hits = decode_lines(two_records.query("branch=master"))
+        assert [r.image_tag for r in hits] == ["a-b-1", "a-b-2", "a-b-3", "a-b-4"]
         assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2", "a-b-3", "a-b-4"]
 
     @pytest.mark.parametrize("bad", [b"{not json\n", b"[1, 2]\n", b'{"image_tag": "x"}\n'])
@@ -354,7 +383,7 @@ class TestTornLastLine:
         bad = json.loads(lines[1])
         bad["successes"] = 9  # a row the index takes, which ArtifactMetadata refuses
         two_records.path.write_bytes(lines[0] + b"\n" + (json.dumps(bad) + "\n").encode())
-        assert [r.image_tag for r in two_records.query("language=java")] == ["a-b-1"]
+        assert [r.image_tag for r in decode_lines(two_records.query("language=java"))] == ["a-b-1"]
         with pytest.raises(StoreError, match=f"^{re.escape(str(two_records.path))}, line 3: ValueError"):
             two_records.query("language=python")
 
@@ -371,10 +400,52 @@ class TestDecodeCount:
                             classmethod(lambda cls, d: decoded.append(d) or decode(d)))
         return store, decoded
 
-    def test_query_decodes_exactly_its_hits(self, counted):
+    @staticmethod
+    def count_encodes(monkeypatch) -> list:
+        """Record each ``to_dict`` and ``json.dumps`` call from here on."""
+        calls = []
+        to_dict, dumps = ArtifactMetadata.to_dict, json.dumps
+        monkeypatch.setattr(ArtifactMetadata, "to_dict", lambda self: calls.append("to_dict") or to_dict(self))
+        monkeypatch.setattr(json, "dumps", lambda obj, **kw: calls.append("dumps") or dumps(obj, **kw))
+        return calls
+
+    def test_query_decodes_exactly_its_hits(self, counted, monkeypatch):
         store, decoded = counted
+        encoded = self.count_encodes(monkeypatch)
+        # a store written only by persist: every hit is copied as it is
         assert len(store.query("language=java num_changes>=3")) == 3
-        assert len(decoded) == 3
+        assert decoded == [] and encoded == []
+        # another tool's lines: only those that are not the codec's encoding are decoded and encoded
+        with store.path.open("ab") as fh:
+            fh.write(raw_line(mk_record(tag="a-b-9", changes=9), drop=("branch",)))
+            d = mk_record(tag="a-b-10", changes=10).to_dict()
+            fh.write((json.dumps(dict(reversed(d.items()))) + "\n").encode())
+            fh.write(raw_line(mk_record(tag="a-b-11", changes=11)))
+            fh.write(raw_line(mk_record(tag="a-b-12", language="Python", changes=12), drop=("branch",)))
+        assert store.index().column("verbatim") == [True] * 8 + [False, False, True, False]
+        decoded.clear()
+        encoded.clear()
+        lines = store.query("language=java num_changes>=3")
+        assert len(lines) == 6 and len(decoded) == 2
+        assert encoded.count("to_dict") == 2 and encoded.count("dumps") == 2
+        assert lines == [json.dumps(r.to_dict()) + "\n" for r in oracle_records(store.path)
+                         if r.primary_language == "Java" and r.num_changes >= 3]
+
+    def test_persist_rows_after_a_foreign_line_are_copied(self, counted, monkeypatch):
+        store, decoded = counted
+        # another tool's line, which is not the codec's encoding and ends without a newline
+        with store.path.open("ab") as fh:
+            fh.write(raw_line(mk_record(tag="a-b-9"), drop=("branch",)).rstrip(b"\n"))
+        store.persist(mk_record(tag="a-b-10"))
+        store.persist(mk_record(tag="a-b-11"))
+        assert store.index().column("verbatim") == [True] * 8 + [False, True, True]
+        decoded.clear()
+        encoded = self.count_encodes(monkeypatch)
+        lines = store.query("image_tag=a-b-10") + store.query("image_tag=a-b-11")
+        assert decoded == [] and encoded == []
+        assert decode_lines(lines) == [mk_record(tag="a-b-10"), mk_record(tag="a-b-11")]
+        (foreign,) = store.query("image_tag=a-b-9")
+        assert foreign == json.dumps(oracle_records(store.path)[8].to_dict()) + "\n"
 
     def test_statistics_decode_nothing(self, counted):
         store, decoded = counted
@@ -396,3 +467,82 @@ class TestDecodeCount:
         store.persist(mk_record(tag="a-b-9"))
         assert parsed and not [s for s in parsed
                                if (s.encode() if isinstance(s, str) else bytes(s)).strip() in stored]
+
+
+# --- failpass query prints what the codec prints --------------------------------
+
+HAND_FORMS = ("canonical", "drop", "reorder", "compact", "spaced", "names_as_string", "crlf", "bad")
+
+
+def hand_line(record: ArtifactMetadata, form: str) -> bytes:
+    """A line for ``record`` as another tool might write it; only the ``bad`` one does not decode."""
+    d = record.to_dict()
+    end = "\n"
+    if form == "drop":  # keys whose fields have defaults, at the top and in a side
+        for key in DROPPABLE:
+            d.pop(key)
+        d["failed"].pop("failed_test_names")
+        d["passed"].pop("branch")
+    elif form == "reorder":
+        d = {k: (dict(reversed(v.items())) if isinstance(v, dict) else v) for k, v in reversed(d.items())}
+    elif form == "names_as_string":  # decodes to the tuple of its characters
+        d["failed"]["failed_test_names"] = "T1"
+    elif form == "crlf":
+        end = "\r\n"
+    elif form == "bad":  # a row the index takes, which ArtifactMetadata refuses
+        d["successes"] = d["attempts"] + 4
+    if form == "compact":
+        text = json.dumps(d, separators=(",", ":"))
+    elif form == "spaced":
+        text = "  " + json.dumps(d, separators=(" ,  ", " :  ")) + " \t"
+    else:
+        text = json.dumps(d)
+    return (text + end).encode()
+
+
+class TestQueryOutputIsTheCodecs:
+    """``failpass query`` prints, byte for byte, ``json.dumps(ArtifactMetadata.from_dict(json.loads(line)).to_dict())``
+    and a newline for each hit, whoever wrote the line."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(entries=st.lists(st.tuples(records, st.sampled_from(("persist",) * 3 + HAND_FORMS)),
+                            min_size=1, max_size=8, unique_by=lambda e: e[0].image_tag),
+           unterminated=st.booleans(), drop_sidecar=st.booleans(),
+           asked=st.lists(queries, min_size=1, max_size=4))
+    def test_output_equals_the_codec_on_every_hit(self, tmp_path_factory, entries, unterminated, drop_sidecar,
+                                                  asked):
+        path = tmp_path_factory.mktemp("store") / "store.jsonl"
+        store = ArtifactStore(path)
+        for record, form in entries:
+            if form == "persist":
+                store.persist(record)
+            else:
+                with path.open("ab") as fh:
+                    fh.write(hand_line(record, form))
+        if unterminated:  # a whole last line without its newline
+            path.write_bytes(path.read_bytes()[:-1])
+        if drop_sidecar:
+            store.index_path.unlink(missing_ok=True)
+        lines = [line for line in path.read_bytes().split(b"\n") if line.strip()]
+        assert len(lines) == len(entries)
+        rows = []  # (record the terms see, what the codec prints for the line or None if it refuses it)
+        for line, (record, form) in zip(lines, entries):
+            if form == "bad":
+                rows.append((record, None))
+            else:
+                decoded = ArtifactMetadata.from_dict(json.loads(line))
+                rows.append((decoded, json.dumps(decoded.to_dict()) + "\n"))
+        for expression in asked:
+            predicate = parse_query(expression)
+            hits = [(line_no, want) for line_no, (record, want) in enumerate(rows, 1) if predicate(record)]
+            refused = [line_no for line_no, want in hits if want is None]
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                if refused:
+                    where = f"{re.escape(str(path))}, line {refused[0]}: ValueError"
+                    with pytest.raises(StoreError, match=f"^{where}"):
+                        main(["query", expression, "--store", str(path)])
+                else:
+                    main(["query", expression, "--store", str(path)])
+            assert out.getvalue() == ("" if refused else "".join(want for _, want in hits))
