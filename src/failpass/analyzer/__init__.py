@@ -7,13 +7,9 @@ from .core import (
     analyze,
     clean_log,
     compare,
-    detect_build_system,
-    detect_test_framework,
     extract_error_tags,
     extract_status,
-    register_parser,
 )
-from . import java, pythonlogs  # noqa: F401  (parser registration)
 
 __all__ = [
     "ErrorTag",
@@ -22,9 +18,6 @@ __all__ = [
     "analyze",
     "clean_log",
     "compare",
-    "detect_build_system",
-    "detect_test_framework",
     "extract_error_tags",
     "extract_status",
-    "register_parser",
 ]

@@ -1,9 +1,9 @@
 """Top-level log analysis: cleanup, status/OS extraction, dispatch, comparison.
 
 The top-level analyzer extracts language-agnostic items (status, operating
-system) and delegates test-result parsing to a registered parser for the
-detected (build system, test framework) combination. Adding support for a
-new framework means registering one parser function.
+system) and delegates test-result parsing to the parser that ``_PARSERS``
+names for the detected (build system, test framework) combination. Adding
+support for a new framework means adding one parser function to that table.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..model import json_record
+from .java import parse_ant_junit, parse_gradle_junit, parse_maven_junit, parse_testng
+from .pythonlogs import parse_pytest, parse_unittest_style
 
 ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]|\x1b\][^\x07]*\x07")
 
@@ -94,41 +96,18 @@ def _earliest(markers, log: str, allowed=None) -> str:
     return min(hits)[2] if hits else NONE_DETECTED
 
 
-def detect_build_system(log: str) -> str:
-    """First build-system banner in the log wins."""
-    return _earliest(_BUILD_SYSTEM_MARKERS, clean_log(log))
-
-
-def detect_test_framework(log: str, language: str | None = None) -> str:
-    allowed = None
-    if language is not None:
-        lang = language.lower()
-        allowed = JAVA_FRAMEWORKS if lang == "java" else PYTHON_FRAMEWORKS
-    return _earliest(_FRAMEWORK_MARKERS, clean_log(log), allowed)
-
-
-# --- parser registry -------------------------------------------------------
-
-_PARSERS: dict[tuple[str, str], object] = {}
-
-
-def register_parser(build_system: str, framework: str):
-    """Register a test-section parser for (build_system, framework).
-
-    Use "*" as the build system for framework parsers that do not depend
-    on it. Parsers take cleaned log text and return a dict with keys
-    run, failed, skipped, names.
-    """
-
-    def deco(fn):
-        _PARSERS[(build_system, framework)] = fn
-        return fn
-
-    return deco
-
-
-def _lookup_parser(build_system: str, framework: str):
-    return _PARSERS.get((build_system, framework)) or _PARSERS.get(("*", framework))
+# (build system, framework) -> test-section parser; "*" is any build system. A parser takes
+# cleaned log text and returns a dict with keys run, failed, skipped, names.
+_PARSERS = {
+    ("Maven", "JUnit"): parse_maven_junit,
+    ("Gradle", "JUnit"): parse_gradle_junit,
+    ("Ant", "JUnit"): parse_ant_junit,
+    ("*", "testng"): parse_testng,
+    ("*", "pytest"): parse_pytest,
+    ("*", "unittest"): parse_unittest_style,
+    ("*", "unittest2"): parse_unittest_style,
+    ("*", "nose"): parse_unittest_style,
+}
 
 
 def extract_status(log: str) -> str:
@@ -161,10 +140,10 @@ def analyze(log_text: str, language: str) -> LogAttributes:
     os_match = _OS_RE.search(log)
     os_name = os_match.group(1) if os_match else "unknown"
     build_system = _earliest(_BUILD_SYSTEM_MARKERS, log)
-    framework = detect_test_framework(log, lang)
+    framework = _earliest(_FRAMEWORK_MARKERS, log, JAVA_FRAMEWORKS if lang == "java" else PYTHON_FRAMEWORKS)
     run = failed = skipped = 0
     names: tuple[str, ...] = ()
-    parser = _lookup_parser(build_system, framework) if framework != NONE_DETECTED else None
+    parser = _PARSERS.get((build_system, framework)) or _PARSERS.get(("*", framework))
     if parser is not None:
         result = parser(log)
         run = max(0, int(result.get("run", 0)))

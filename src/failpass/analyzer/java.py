@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import re
 
-from .core import register_parser
-
 # Surefire module totals are the bare "Tests run:" lines inside a Results
 # block; per-class lines carry a trailing "- in <class>" suffix and must
 # not be summed.
@@ -19,7 +17,6 @@ _MAVEN_FAILED_BLOCK_RE = re.compile(
 _MAVEN_NAME_RE = re.compile(r"^\s*((?:[\w$]+\.)+[\w$]+)", re.MULTILINE)
 
 
-@register_parser("Maven", "JUnit")
 def parse_maven_junit(log: str) -> dict:
     run = failed = skipped = 0
     for m in _SUREFIRE_TOTAL_RE.finditer(log):
@@ -39,7 +36,6 @@ _GRADLE_TOTAL_RE = re.compile(
 _GRADLE_FAILED_RE = re.compile(r"^([\w$.]+) > ([\w$ .\[\]]+?) FAILED\s*$", re.MULTILINE)
 
 
-@register_parser("Gradle", "JUnit")
 def parse_gradle_junit(log: str) -> dict:
     run = failed = skipped = 0
     for m in _GRADLE_TOTAL_RE.finditer(log):
@@ -58,7 +54,6 @@ _ANT_FAILED_RE = re.compile(
 )
 
 
-@register_parser("Ant", "JUnit")
 def parse_ant_junit(log: str) -> dict:
     run = failed = skipped = 0
     for m in _ANT_TOTAL_RE.finditer(log):
@@ -75,7 +70,6 @@ _TESTNG_TOTAL_RE = re.compile(
 _TESTNG_FAILED_RE = re.compile(r"^FAILED: ([\w$.]+)", re.MULTILINE)
 
 
-@register_parser("*", "testng")
 def parse_testng(log: str) -> dict:
     run = failed = skipped = 0
     for m in _TESTNG_TOTAL_RE.finditer(log):

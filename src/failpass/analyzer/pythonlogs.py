@@ -4,14 +4,11 @@ from __future__ import annotations
 
 import re
 
-from .core import register_parser
-
 _PYTEST_SUMMARY_RE = re.compile(r"=+ (.*?) in [\d.]+s(?:econds)? =*")
 _PYTEST_COUNT_RE = re.compile(r"(\d+) (failed|passed|skipped|error(?:s)?)")
 _PYTEST_FAILED_RE = re.compile(r"^FAILED (\S+)", re.MULTILINE)
 
 
-@register_parser("*", "pytest")
 def parse_pytest(log: str) -> dict:
     failed = passed = skipped = errors = 0
     # a log can contain several sessions; totals aggregate across them
@@ -42,7 +39,7 @@ _RESULT_COUNT_RE = re.compile(r"(failures|errors|skipped)=(\d+)")
 _FAILED_CASE_RE = re.compile(r"^(?:FAIL|ERROR): ([\w.]+)(?: \(([\w.]+)\))?", re.MULTILINE)
 
 
-def _parse_unittest_style(log: str) -> dict:
+def parse_unittest_style(log: str) -> dict:
     run = failed = skipped = 0
     for m in _RAN_RE.finditer(log):
         run += int(m.group(1))
@@ -57,7 +54,3 @@ def _parse_unittest_style(log: str) -> dict:
         names.append(f"{m.group(2)}.{m.group(1)}" if m.group(2) else m.group(1))
     return {"run": run, "failed": failed, "skipped": skipped, "names": names}
 
-
-register_parser("*", "unittest")(_parse_unittest_style)
-register_parser("*", "unittest2")(_parse_unittest_style)
-register_parser("*", "nose")(_parse_unittest_style)

@@ -11,10 +11,10 @@ import tempfile
 from pathlib import Path
 
 from . import analyzer
-from .connector import make_connector
+from .connector import ConnectorError, make_connector
 from .miner import mine
 from .model import JobPair, parse_timestamp
-from .pairfilter import DEFAULT_DOCKER_CUTOFF, FilterVerdict, filter_pairs, load_catalog
+from .pairfilter import DEFAULT_DOCKER_CUTOFF, CatalogError, FilterVerdict, filter_pairs, load_catalog
 from .reproducer import (
     DEFAULT_REPEATS,
     DEFAULT_TIMEOUT_S,
@@ -22,20 +22,12 @@ from .reproducer import (
     stability_protocol,
 )
 from .runtime import default_runtime
-from .store import (
-    ArtifactStore,
-    HistogramSpec,
-    artifact_cleanup,
-    artifact_fetch,
-    artifact_shell,
-    error_frequency_report,
-    stats,
-)
+from .store import ArtifactStore, QueryParseError, StoreError, error_frequency_report, stats
 
 
 def _write_jsonl(path, records):
     """Write records as JSON lines; a file target is replaced atomically, so a crash leaves the old one."""
-    if path is None or path == "-":
+    if path == "-":
         for r in records:
             print(json.dumps(r))
         return
@@ -146,8 +138,7 @@ def cmd_stats(args):
         for name, count in ranked:
             print(f"{name}\t{count}")
         return
-    spec = HistogramSpec(metric=args.metric)
-    print(json.dumps(stats(index, spec), indent=2))
+    print(json.dumps(stats(index, args.metric), indent=2))
 
 
 def cmd_query(args):
@@ -156,15 +147,17 @@ def cmd_query(args):
 
 
 def cmd_artifact(args):
-    store = _store(args)
+    record = _store(args).get(args.tag)
+    if record is None:
+        raise StoreError(f"artifact not found: {args.tag}")
     runtime = default_runtime()
     if args.action == "fetch":
-        record = artifact_fetch(store, args.tag, runtime)
+        runtime.fetch_image(args.tag)
         print(json.dumps(record.to_dict()))
-        return
-    if args.action == "shell":
-        raise SystemExit(artifact_shell(store, args.tag, runtime))
-    artifact_cleanup(store, args.tag, runtime, purge=args.purge)
+    elif args.action == "shell":
+        raise SystemExit(runtime.shell(args.tag, label=args.tag))
+    else:
+        runtime.cleanup(args.tag, purge=args.purge)
 
 
 def _number(kind, ok, rule: str):
@@ -238,8 +231,12 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
-    # looked up at call time, so a replaced cmd_* runs even though the parser outlives it
-    globals()[f"cmd_{args.command}"](args)
+    try:
+        # looked up at call time, so a replaced cmd_* runs even though the parser outlives it
+        globals()[f"cmd_{args.command}"](args)
+    except (QueryParseError, ConnectorError, CatalogError) as exc:
+        # errors in what the user gave: a malformed query, a missing fixture or project, a bad catalog
+        raise SystemExit(f"failpass: {exc}") from None
     return 0
 
 

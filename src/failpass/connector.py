@@ -13,7 +13,6 @@ import json
 import os
 import shutil
 import subprocess
-import tempfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -109,7 +108,7 @@ class FixtureConnector:
         d = self.project_dir(slug) / "repo"
         return d if d.is_dir() else None
 
-    def fetch_archive_snapshot(self, slug: str, sha: str, dest: Optional[os.PathLike] = None) -> Optional[SnapshotRef]:
+    def fetch_archive_snapshot(self, slug: str, sha: str, dest: os.PathLike) -> Optional[SnapshotRef]:
         zpath = self.project_dir(slug) / "archive" / f"{sha}.zip"
         if not zpath.is_file():
             return None
@@ -119,20 +118,19 @@ class FixtureConnector:
         return (self.project_dir(slug) / "archive" / f"{sha}.zip").is_file()
 
 
-def extract_archive(zpath: Path, sha: str, dest: Optional[os.PathLike] = None) -> SnapshotRef:
-    """Extract a code-host style zip (single top-level dir) to a tree."""
-    out = Path(dest) if dest is not None else Path(tempfile.mkdtemp(prefix="failpass-snap-"))
+def extract_archive(zpath: Path, sha: str, dest: os.PathLike) -> SnapshotRef:
+    """Extract a code-host style zip (single top-level dir) under ``dest``."""
     try:
         with zipfile.ZipFile(zpath) as zf:
             names = [n for n in zf.namelist() if n]
             tops = {n.split("/", 1)[0] for n in names}
             if not names or len(tops) != 1 or any("/" not in n for n in names):
                 raise CorruptArchiveError(f"corrupt archive: {zpath.name} lacks a single top-level directory")
-            zf.extractall(out)
+            zf.extractall(dest)
     except zipfile.BadZipFile as exc:
         raise CorruptArchiveError(f"corrupt archive: {zpath.name}") from exc
     (top,) = tops
-    root = out / top
+    root = Path(dest) / top
     if not root.is_dir() or not any(root.iterdir()):
         raise CorruptArchiveError(f"corrupt archive: {zpath.name} extracted empty")
     return SnapshotRef(sha=sha, content_root=root)

@@ -60,8 +60,6 @@ class Stage(str, Enum):
     LOG_PRESENT = "log_present"
     DOCKER_ERA = "docker_era"
     WITH_IMAGE = "with_image"
-    ATTEMPTED = "attempted"
-    REPRODUCED = "reproduced"
 
 
 def outcome_class(status: Status) -> Outcome:

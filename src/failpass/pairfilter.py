@@ -85,13 +85,9 @@ def extract_runtime_markers(log_text: str) -> Optional[RuntimeMarkers]:
     return RuntimeMarkers(timestamp=stamp, instance_name=inst.group(1))
 
 
-def is_docker_era(
-    markers: RuntimeMarkers,
-    cutoff: datetime = DEFAULT_DOCKER_CUTOFF,
-    worker_pattern: re.Pattern = CONTAINER_WORKER_RE,
-) -> bool:
+def is_docker_era(markers: RuntimeMarkers, cutoff: datetime = DEFAULT_DOCKER_CUTOFF) -> bool:
     """Did the job run on a container worker after the container cutover?"""
-    return markers.timestamp >= cutoff and worker_pattern.fullmatch(markers.instance_name) is not None
+    return markers.timestamp >= cutoff and CONTAINER_WORKER_RE.fullmatch(markers.instance_name) is not None
 
 
 class CatalogError(Exception):
@@ -142,7 +138,7 @@ def filter_pairs(
     logs are fetched lazily, only for pairs that reach that stage.
     """
     verdicts = []
-    counts = {s: 0 for s in (Stage.ALL_PAIRS, Stage.AVAILABLE, Stage.LOG_PRESENT, Stage.DOCKER_ERA, Stage.WITH_IMAGE)}
+    counts = {s: 0 for s in Stage}
     for pair in pairs:
         counts[Stage.ALL_PAIRS] += 1
         if not check_availability(pair):

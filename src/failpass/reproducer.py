@@ -25,7 +25,7 @@ from . import analyzer
 from .connector import ConnectorError, clone_at, merge_tree
 from .model import Availability, CommitCoordinates, JobPair, RecoverySource, json_record
 from .pairfilter import FilterVerdict
-from .runtime import KILLED_EXIT_STATUS, SCRIPT_REL_PATH, ExecResult
+from .runtime import SCRIPT_REL_PATH, ExecResult
 
 DEFAULT_TIMEOUT_S = 1800.0
 DEFAULT_REPEATS = 5
@@ -49,30 +49,10 @@ class ReproductionError(Exception):
 
 
 @dataclass(frozen=True)
-class JobScript:
-    side: str  # "fail" | "pass"
-    script_text: str
-    pinned_sha: str
-
-
-@dataclass(frozen=True)
 class WorkTree:
     root: Path
     sha: str
     construction: str  # clone_reset | phantom_merge | archive_zip
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    side: str
-    exit_status: int
-    log_text: str
-    wall_time: float
-    timed_out: bool
-
-    def __post_init__(self):
-        if self.timed_out and self.exit_status != KILLED_EXIT_STATUS:
-            raise ValueError("timed-out runs must carry the killed exit status")
 
 
 @json_record
@@ -97,13 +77,14 @@ def _as_commands(value) -> list[str]:
     raise ReproductionError(f"ci command issue: bad phase value {value!r}", "ci_command_issue")
 
 
-def generate_job_script(config: dict, pinned_sha: str, side: str = "fail") -> JobScript:
+def generate_job_script(config: dict) -> str:
     """Build a deterministic shell script for one job configuration.
 
     Supports env vars, a language version selector, and install/script
     phase command lists; anything else is a CI command issue. Install
     failures are terminal and marked as errored (phase marker), script
-    failures as failed.
+    failures as failed. The script runs on the tree as it is and never
+    moves HEAD, so a PR job runs on its recreated merge commit.
     """
     unsupported = set(config) - SUPPORTED_CONFIG_KEYS
     if unsupported:
@@ -111,15 +92,7 @@ def generate_job_script(config: dict, pinned_sha: str, side: str = "fail") -> Jo
             f"ci command issue: unsupported config keys {sorted(unsupported)}",
             "ci_command_issue",
         )
-    lines = [
-        "#!/bin/sh",
-        f"# job script pinned to {pinned_sha}",
-        "set -u",
-        "if [ -d .git ]; then",
-        f"  git checkout --quiet {pinned_sha} || {{ echo 'Done. Your build exited with 1.'; exit 1; }}",
-        "fi",
-        f"echo 'Checked out {pinned_sha}'",
-    ]
+    lines = ["#!/bin/sh", "set -u"]
     for selector in ("language", "jdk", "python"):
         if selector in config:
             lines.append(f"echo {shlex.quote(f'Using {selector}: {config[selector]}')}")
@@ -155,7 +128,7 @@ def generate_job_script(config: dict, pinned_sha: str, side: str = "fail") -> Jo
             "fi",
         ]
     lines += ["echo 'Done. Your build exited with 0.'", "exit 0", ""]
-    return JobScript(side=side, script_text="\n".join(lines), pinned_sha=pinned_sha)
+    return "\n".join(lines)
 
 
 def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetch, dest: Path) -> WorkTree:
@@ -188,20 +161,13 @@ def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetc
     return WorkTree(root=dest, sha=sha, construction="archive_zip")
 
 
-def run_job(script: JobScript, image: str, worktree: WorkTree, timeout_s: float,
-            runtime, env: Optional[dict[str, str]] = None) -> RunOutcome:
+def run_job(script: str, image: str, worktree: WorkTree, timeout_s: float,
+            runtime, env: Optional[dict[str, str]] = None) -> ExecResult:
     """Execute the job script inside the matched environment."""
     script_path = worktree.root / SCRIPT_REL_PATH
     script_path.parent.mkdir(parents=True, exist_ok=True)
-    script_path.write_text(script.script_text)
-    result: ExecResult = runtime.run_script(image, worktree.root, timeout_s, env=env)
-    return RunOutcome(
-        side=script.side,
-        exit_status=result.exit_status,
-        log_text=result.log_text,
-        wall_time=result.wall_time,
-        timed_out=result.timed_out,
-    )
+    script_path.write_text(script)
+    return runtime.run_script(image, worktree.root, timeout_s, env=env)
 
 
 def classify_reproduced(fail_attrs: analyzer.LogAttributes) -> str:
@@ -237,7 +203,7 @@ def classify_unreproducible(log_text: str, timed_out: bool = False) -> str:
 @dataclass
 class SideResult:
     matched: bool
-    outcome: Optional[RunOutcome] = None
+    outcome: Optional[ExecResult] = None
     reason: Optional[str] = None
 
 
@@ -439,7 +405,6 @@ def pair_inputs(pair: JobPair, ctx: ReproductionContext):
 def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str,
                   inputs: PairInputs) -> SideResult:
     job = pair.failed_job if side == "fail" else pair.passed_job
-    coords = pair.failed_commits if side == "fail" else pair.passed_commits
     original = inputs.originals[side]
     if original is None:
         return SideResult(matched=False, reason="original log absent")
@@ -447,7 +412,7 @@ def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str
     if config is None:
         return SideResult(matched=False, reason="job configuration missing")
     try:
-        script = generate_job_script(config, coords.trigger_sha or coords.merge_sha, side=side)
+        script = generate_job_script(config)
     except ReproductionError as exc:
         return SideResult(matched=False, reason=exc.reason)
     try:
@@ -464,17 +429,11 @@ def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str
     return SideResult(matched=matched, outcome=outcome, reason=reason)
 
 
-def attempt_pair(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionContext,
-                 attempt_index: int = 0, inputs: Optional[PairInputs] = None) -> tuple[SideResult, SideResult]:
-    """One reproduction attempt: both sides in worktrees equal to their pristine trees.
-
-    Without ``inputs`` the attempt prepares its own and removes them afterwards.
-    """
+def attempt_pair(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionContext, inputs: PairInputs,
+                 attempt_index: int) -> tuple[SideResult, SideResult]:
+    """One reproduction attempt: both sides in worktrees equal to their pristine trees."""
     if verdict.image_ref is None:
         raise ValueError("pair did not reach the with_image stage")
-    if inputs is None:
-        with pair_inputs(pair, ctx) as own:
-            return attempt_pair(pair, verdict, ctx, attempt_index, own)
     image = f"{verdict.image_ref.registry}/{verdict.image_ref.name}:{verdict.image_ref.tag}"
     fail_result = _attempt_side(pair, "fail", ctx, image, inputs)
     pass_result = _attempt_side(pair, "pass", ctx, image, inputs)
@@ -520,7 +479,7 @@ def stability_protocol(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionC
     mismatch_reasons: list[Optional[str]] = []
     with pair_inputs(pair, ctx) as inputs:
         for k in range(n):
-            fail_result, pass_result = attempt_pair(pair, verdict, ctx, attempt_index=k, inputs=inputs)
+            fail_result, pass_result = attempt_pair(pair, verdict, ctx, inputs, k)
             attempts.append((fail_result.matched, pass_result.matched))
             mismatch_reasons += [r.reason for r in (fail_result, pass_result) if not r.matched]
     stability = stability_from_attempts(attempts)

@@ -36,6 +36,10 @@ class ExecResult:
     wall_time: float
     timed_out: bool
 
+    def __post_init__(self):
+        if self.timed_out and self.exit_status != KILLED_EXIT_STATUS:
+            raise ValueError("timed-out runs must carry the killed exit status")
+
 
 def _run_with_timeout(argv: list[str], cwd: Path, env: dict, timeout_s: float) -> ExecResult:
     start = time.monotonic()
@@ -72,13 +76,9 @@ class LocalRuntime:
 
     _KEEP_ENV = ("PATH", "HOME", "LANG", "TMPDIR")
 
-    def __init__(self, extra_env: Optional[dict[str, str]] = None):
-        self.extra_env = dict(extra_env or {})
-
     def run_script(self, image: str, worktree: Path, timeout_s: float,
                    env: Optional[dict[str, str]] = None) -> ExecResult:
         run_env = {k: os.environ[k] for k in self._KEEP_ENV if k in os.environ}
-        run_env.update(self.extra_env)
         run_env.update(env or {})
         return _run_with_timeout(["/bin/sh", SCRIPT_REL_PATH], Path(worktree), run_env, timeout_s)
 

@@ -1,4 +1,4 @@
-"""Artifact metadata persistence, diff metrics, statistics, and user tools.
+"""Artifact metadata persistence, diff metrics, queries and statistics.
 
 The store is an append-only JSON-lines file under an advisory file lock.
 Beside it, the sidecar ``<store>.idx`` is a derived key directory: every
@@ -192,19 +192,30 @@ def _stamp(fh) -> list[int]:
 
 
 @functools.cache
-def _column_specs() -> tuple:
-    """(dotted name, outer key or "", key, codec default for an absent key or MISSING) per queryable field."""
-    top = {f.name: f.default for f in dataclasses.fields(ArtifactMetadata)}
-    side = {f.name: f.default for f in dataclasses.fields(SideInfo)}
-    specs = []
-    for name in _queryable_fields():
-        outer, _, key = name.rpartition(".")
-        specs.append((name, outer, key, side[key] if outer else top[key]))
-    return tuple(specs)
+def _queryable() -> dict[str, tuple]:
+    """Dotted name -> (outer key or "", key, 'num' | 'str', codec default or MISSING) per queryable field.
+
+    The queryable fields are the scalars of ArtifactMetadata and of its two
+    SideInfos, in field order; sequence fields are not queryable. They are
+    the sidecar's first columns, so their names and order are its format.
+    """
+    table = {}
+    for f in dataclasses.fields(ArtifactMetadata):
+        if f.name in ("failed", "passed"):
+            scalars = [(f.name, g) for g in dataclasses.fields(SideInfo)]
+        else:
+            scalars = [("", f)]
+        for outer, g in scalars:
+            if "tuple" in g.type or "list" in g.type:
+                continue
+            kind = "num" if "int" in g.type or "float" in g.type else "str"
+            table[f"{outer}.{g.name}" if outer else g.name] = (outer, g.name, kind, g.default)
+    return table
 
 
 def _index_fields() -> list[str]:
-    return [name for name, *_ in _column_specs()] + ["error_tags", "offset", "length", "verbatim"]
+    """The sidecar's columns: the queryable fields, then each record's error-tag names and line position."""
+    return [*_queryable(), "error_tags", "offset", "length", "verbatim"]
 
 
 def _line(record: ArtifactMetadata) -> str:
@@ -259,7 +270,7 @@ class StoreIndex:
     def add(self, d: dict, offset: int, length: int, verbatim: bool) -> None:
         """Append the row of one store line's JSON object; KeyError if it lacks a required field."""
         values = []
-        for name, outer, key, default in _column_specs():
+        for name, (outer, key, _, default) in _queryable().items():
             value = (d[outer] if outer else d).get(key, default)
             if value is dataclasses.MISSING:
                 raise KeyError(name)
@@ -505,38 +516,8 @@ _OPERATORS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
               "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
-def _record_value(record: ArtifactMetadata, dotted: str):
-    obj = record
-    for part in dotted.split("."):
-        obj = getattr(obj, part, None)
-    return obj
-
-
-def _queryable_fields() -> dict[str, str]:
-    """Dotted field name -> 'num' | 'str'; sequence fields are not queryable."""
-    kinds: dict[str, str] = {}
-
-    def classify(type_str: str):
-        if "tuple" in type_str or "list" in type_str:
-            return None
-        return "num" if "int" in type_str or "float" in type_str else "str"
-
-    for f in dataclasses.fields(ArtifactMetadata):
-        if f.name in ("failed", "passed"):
-            for g in dataclasses.fields(SideInfo):
-                kind = classify(str(g.type))
-                if kind:
-                    kinds[f"{f.name}.{g.name}"] = kind
-        else:
-            kind = classify(str(f.type))
-            if kind:
-                kinds[f.name] = kind
-    return kinds
-
-
 def _parse_terms(expression: str) -> list[tuple]:
     """(dotted field, comparison, value) per `field OP value` term, checked up front."""
-    kinds = _queryable_fields()
     terms = []
     pos = 0
     text = expression.strip()
@@ -552,9 +533,10 @@ def _parse_terms(expression: str) -> list[tuple]:
         if fld in ("num_tests_run", "num_tests_failed"):
             fld = f"failed.{fld}"
         op, raw = m.group(2), m.group(3)
-        kind = kinds.get(fld)
-        if kind is None:
+        spec = _queryable().get(fld)
+        if spec is None:
             raise QueryParseError(f"unknown field {m.group(1)!r}", pos)
+        kind = spec[2]
         if kind == "str" and op in ("<", "<=", ">", ">="):
             raise QueryParseError(f"range comparison on non-numeric field {fld!r}", pos)
         if kind == "num":
@@ -578,20 +560,6 @@ def _holds(value, compare, rhs) -> bool:
     return compare(value, rhs)
 
 
-def parse_query(expression: str):
-    """Predicate on ArtifactMetadata for a conjunction of `field OP value` terms separated by whitespace.
-
-    Field names, operators, and value types are checked up front, so a
-    malformed query fails before any record is touched.
-    """
-    terms = _parse_terms(expression)
-
-    def predicate(record: ArtifactMetadata) -> bool:
-        return all(_holds(_record_value(record, fld), compare, rhs) for fld, compare, rhs in terms)
-
-    return predicate
-
-
 # --- statistics ------------------------------------------------------------
 
 # bin lower edges mirror the dataset-characteristics histograms
@@ -608,43 +576,28 @@ _METRIC_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class HistogramSpec:
-    metric: str
-    bins: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.metric not in _METRIC_FIELDS:
-            raise ValueError(f"unknown metric: {self.metric}")
-        bins = self.bins or tuple(DEFAULT_BINS[self.metric])
-        object.__setattr__(self, "bins", tuple(bins))
-        edges = [b[0] for b in self.bins]
-        if edges != sorted(set(edges)) or any(lo > hi for lo, hi in self.bins):
-            raise ValueError("bin edges must be strictly ascending")
-        # stats() finds a value's bin by its lower edge, which is exact only for disjoint bins
-        if any(hi >= next_lo for (_, hi), (next_lo, _) in zip(self.bins, self.bins[1:])):
-            raise ValueError("bins must not overlap")
-
-
 def _as_index(records) -> StoreIndex:
     return records if isinstance(records, StoreIndex) else StoreIndex.of(records)
 
 
-def stats(records: Iterable[ArtifactMetadata] | StoreIndex, spec: HistogramSpec) -> dict:
-    """Per-bin counts plus a flagged overflow bucket for out-of-range values."""
-    lows = [lo for lo, _ in spec.bins]
-    highs = [hi for _, hi in spec.bins]
-    counts = [0] * len(spec.bins)
+def stats(records: Iterable[ArtifactMetadata] | StoreIndex, metric: str) -> dict:
+    """Per-bin counts over ``DEFAULT_BINS[metric]`` plus a flagged overflow bucket for out-of-range values."""
+    if metric not in _METRIC_FIELDS:
+        raise ValueError(f"unknown metric: {metric}")
+    bins = DEFAULT_BINS[metric]
+    lows = [lo for lo, _ in bins]
+    highs = [hi for _, hi in bins]
+    counts = [0] * len(bins)
     overflow = 0
-    for value in _as_index(records).column(_METRIC_FIELDS[spec.metric]):
+    for value in _as_index(records).column(_METRIC_FIELDS[metric]):
         # the only bin that can hold value is the last one starting at or below it
         k = bisect.bisect_right(lows, value) - 1
         if k >= 0 and value <= highs[k]:
             counts[k] += 1
         else:
             overflow += 1
-    labels = [f"{lo}-{hi}" if lo != hi else str(lo) for lo, hi in spec.bins]
-    out = {"metric": spec.metric, "bins": dict(zip(labels, counts))}
+    labels = [f"{lo}-{hi}" if lo != hi else str(lo) for lo, hi in bins]
+    out = {"metric": metric, "bins": dict(zip(labels, counts))}
     if overflow:
         out["overflow"] = overflow
     return out
@@ -666,27 +619,3 @@ def error_frequency_report(records: Iterable[ArtifactMetadata] | StoreIndex, lan
             freq[name] = freq.get(name, 0) + 1
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top_n]
-
-
-# --- artifact user tools ---------------------------------------------------
-
-
-def artifact_fetch(store: ArtifactStore, image_tag: str, runtime) -> ArtifactMetadata:
-    record = store.get(image_tag)
-    if record is None:
-        raise StoreError(f"artifact not found: {image_tag}")
-    runtime.fetch_image(image_tag)
-    return record
-
-
-def artifact_shell(store: ArtifactStore, image_tag: str, runtime) -> int:
-    record = store.get(image_tag)
-    if record is None:
-        raise StoreError(f"artifact not found: {image_tag}")
-    return runtime.shell(image_tag, label=image_tag)
-
-
-def artifact_cleanup(store: ArtifactStore, image_tag: str, runtime, purge: bool = False) -> None:
-    if store.get(image_tag) is None:
-        raise StoreError(f"artifact not found: {image_tag}")
-    runtime.cleanup(image_tag, purge=purge)

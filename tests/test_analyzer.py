@@ -13,11 +13,8 @@ from failpass.analyzer import (
     analyze,
     clean_log,
     compare,
-    detect_build_system,
-    detect_test_framework,
     extract_error_tags,
     extract_status,
-    register_parser,
 )
 
 LOG_DIR = Path(__file__).parent / "fixtures" / "logs"
@@ -63,19 +60,19 @@ class TestCleanLog:
 class TestDetection:
     def test_earliest_build_system_marker_wins(self):
         log = (LOG_DIR / "java_composite_gradle_first.txt").read_text()
-        assert detect_build_system(clean_log(log)) == "Gradle"
+        assert analyze(log, "java").build_system == "Gradle"
 
     def test_no_marker_yields_none_detected(self):
-        assert detect_build_system("hello world\n") == NONE_DETECTED
-        assert detect_test_framework("hello world\n", "java") == NONE_DETECTED
+        attrs = analyze("hello world\n", "java")
+        assert (attrs.build_system, attrs.test_framework) == (NONE_DETECTED, NONE_DETECTED)
 
     def test_framework_restricted_by_language(self):
         java_log = "[INFO] Scanning for projects...\nTests run: 3, Failures: 0, Errors: 0, Skipped: 0\n"
-        assert detect_test_framework(java_log, "java") == "JUnit"
-        assert detect_test_framework(java_log, "python") == NONE_DETECTED
+        assert analyze(java_log, "java").test_framework == "JUnit"
+        assert analyze(java_log, "python").test_framework == NONE_DETECTED
         py_log = "Ran 4 tests in 0.1s\n\nOK\n"
-        assert detect_test_framework(py_log, "python") == "unittest"
-        assert detect_test_framework(py_log, "java") == NONE_DETECTED
+        assert analyze(py_log, "python").test_framework == "unittest"
+        assert analyze(py_log, "java").test_framework == NONE_DETECTED
 
 
 class TestExtractStatus:
@@ -120,15 +117,6 @@ class TestAnalyze:
                "Tests run: 3, Failures: 0, Errors: 0, Skipped: 0\n"
                "Done. Your build exited with 0.\n")
         assert analyze(log, "java").num_tests_run == 3
-
-    def test_registry_is_open(self):
-        @register_parser("FakeSystem", "JUnit")
-        def parse_fake(log):
-            return {"run": 42, "failed": 0, "skipped": 0, "names": ()}
-
-        from failpass.analyzer.core import _lookup_parser
-
-        assert _lookup_parser("FakeSystem", "JUnit") is parse_fake
 
 
 class TestCompare:

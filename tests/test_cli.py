@@ -253,6 +253,30 @@ class TestStoreCommands:
             main(["artifact", "fetch", "nope-1", "--store", str(seeded_store)])
 
 
+class TestUserInputErrors:
+    """A malformed query, a missing fixture or project and an unreadable catalog end in one line."""
+
+    def test_malformed_query_names_the_position(self, seeded_store):
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "language=Java ???", "--store", str(seeded_store)])
+        assert exc.value.code == "failpass: malformed filter term at position 14"
+
+    def test_missing_fixture(self, monkeypatch):
+        monkeypatch.delenv("FAILPASS_FIXTURE_DIR", raising=False)
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", "acme/widgets"])
+        assert exc.value.code == "failpass: no backend configured: pass --fixture or set FAILPASS_FIXTURE_DIR"
+
+    def test_unknown_project_and_unreadable_catalog(self, widgets_root, tmp_path):
+        with pytest.raises(SystemExit, match="^failpass: project not found: acme/absent$"):
+            main(["mine", "acme/absent", "--fixture", str(widgets_root)])
+        pairs = tmp_path / "pairs.jsonl"
+        pairs.touch()
+        with pytest.raises(SystemExit, match="^failpass: catalog unreadable: "):
+            main(["filter", "--pairs", str(pairs), "--catalog", str(tmp_path / "absent.json"),
+                  "--fixture", str(widgets_root)])
+
+
 class TestParser:
     def test_unknown_subcommand_exits(self):
         with pytest.raises(SystemExit):

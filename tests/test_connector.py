@@ -96,9 +96,9 @@ class TestArchiveSnapshot:
         assert snap is not None
         assert any(snap.content_root.rglob("*"))
 
-    def test_unarchived_sha_is_absent(self, widgets_root):
+    def test_unarchived_sha_is_absent(self, widgets_root, tmp_path):
         conn = FixtureConnector(widgets_root)
-        assert conn.fetch_archive_snapshot("acme/widgets", fake_sha(0xDEAD)) is None
+        assert conn.fetch_archive_snapshot("acme/widgets", fake_sha(0xDEAD), tmp_path / "x") is None
 
     def test_zip_without_top_dir_is_corrupt(self, tmp_path):
         proj = write_project(tmp_path, "acme/z", [])
@@ -107,7 +107,7 @@ class TestArchiveSnapshot:
         with zipfile.ZipFile(proj / "archive" / f"{sha}.zip", "w") as zf:
             zf.writestr("loose-root-file.txt", "data")
         with pytest.raises(CorruptArchiveError):
-            FixtureConnector(tmp_path).fetch_archive_snapshot("acme/z", sha)
+            FixtureConnector(tmp_path).fetch_archive_snapshot("acme/z", sha, tmp_path / "x")
 
     def test_non_zip_is_corrupt(self, tmp_path):
         proj = write_project(tmp_path, "acme/z", [])
@@ -115,7 +115,7 @@ class TestArchiveSnapshot:
         sha = fake_sha(2)
         (proj / "archive" / f"{sha}.zip").write_bytes(b"not a zip")
         with pytest.raises(CorruptArchiveError):
-            FixtureConnector(tmp_path).fetch_archive_snapshot("acme/z", sha)
+            FixtureConnector(tmp_path).fetch_archive_snapshot("acme/z", sha, tmp_path / "x")
 
 
 def test_make_connector_env_forces_fixture(widgets_root, monkeypatch):

@@ -6,23 +6,19 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from failpass.cli import main
 from failpass.store import (
     ArtifactMetadata,
     ArtifactStore,
     DEFAULT_BINS,
     DuplicateTagError,
-    HistogramSpec,
     QueryParseError,
     SideInfo,
     StoreError,
     _line_changes,
-    artifact_cleanup,
-    artifact_fetch,
-    artifact_shell,
     compute_diff_metrics,
     error_frequency_report,
     make_image_tag,
-    parse_query,
     stats,
 )
 
@@ -271,9 +267,14 @@ class TestQuery:
         mk_record(tag="a-b-3", language="Java", failing=1, stability="flaky"),
     ]
 
+    @pytest.fixture(autouse=True)
+    def persisted(self, tmp_path):
+        self.store = ArtifactStore(tmp_path / "store.jsonl")
+        for r in self.RECORDS:
+            self.store.persist(r)
+
     def q(self, expr):
-        pred = parse_query(expr)
-        return [r.image_tag for r in self.RECORDS if pred(r)]
+        return [r.image_tag for r in decode_lines(self.store.query(expr))]
 
     def test_equality_and_alias(self):
         assert self.q("language=Java") == ["a-b-1", "a-b-3"]
@@ -294,33 +295,30 @@ class TestQuery:
 
     def test_parse_errors_carry_position(self):
         with pytest.raises(QueryParseError) as exc:
-            parse_query("language=Java ???")
+            self.q("language=Java ???")
         assert exc.value.position == 14
 
     def test_unknown_field_rejected(self):
         with pytest.raises(QueryParseError):
-            parse_query("nonsense_field=1")
+            self.q("nonsense_field=1")
 
     def test_range_on_string_field_rejected(self):
         with pytest.raises(QueryParseError):
-            parse_query("language>Java")
+            self.q("language>Java")
 
-    def test_store_query_integration(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store.jsonl")
-        for r in self.RECORDS:
-            store.persist(r)
-        assert store.query("category=error_pass") == [json.dumps(self.RECORDS[1].to_dict()) + "\n"]
+    def test_store_query_integration(self):
+        assert self.store.query("category=error_pass") == [json.dumps(self.RECORDS[1].to_dict()) + "\n"]
 
 
 class TestStats:
     def test_default_bins_exist_per_metric(self):
         for metric in ("changes", "files_changed", "failing_tests"):
-            spec = HistogramSpec(metric=metric)
-            assert spec.bins == tuple(DEFAULT_BINS[metric])
+            labels = [f"{lo}-{hi}" if lo != hi else str(lo) for lo, hi in DEFAULT_BINS[metric]]
+            assert list(stats([], metric)["bins"]) == labels
 
     def test_histogram_counts(self):
         records = [mk_record(tag=f"a-b-{i}", changes=c) for i, c in enumerate([1, 5, 6, 150, 40000], 1)]
-        out = stats(records, HistogramSpec(metric="changes"))
+        out = stats(records, "changes")
         assert out["bins"]["1-5"] == 2
         assert out["bins"]["6-20"] == 1
         assert out["bins"]["101-500"] == 1
@@ -329,24 +327,16 @@ class TestStats:
     def test_counts_conserved(self):
         rng = random.Random(5)
         records = [mk_record(tag=f"a-b-{i}", failing=rng.randrange(1, 2000)) for i in range(1, 60)]
-        out = stats(records, HistogramSpec(metric="failing_tests"))
+        out = stats(records, "failing_tests")
         assert sum(out["bins"].values()) + out.get("overflow", 0) == len(records)
 
     def test_singleton_bin_label(self):
-        out = stats([mk_record(failing=1)], HistogramSpec(metric="failing_tests"))
+        out = stats([mk_record(failing=1)], "failing_tests")
         assert out["bins"]["1"] == 1
 
     def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            HistogramSpec(metric="bogus")
-        with pytest.raises(ValueError):
-            HistogramSpec(metric="changes", bins=((10, 20), (5, 8)))
-
-    def test_overlapping_bins_rejected(self):
-        for bins in (((1, 10), (10, 20)), ((1, 10), (5, 8)), ((1, 3), (4, 9), (6, 7))):
-            with pytest.raises(ValueError, match="overlap"):
-                HistogramSpec(metric="changes", bins=bins)
-        assert HistogramSpec(metric="changes", bins=((1, 9), (10, 20))).bins == ((1, 9), (10, 20))
+        with pytest.raises(ValueError, match="unknown metric"):
+            stats([mk_record()], "bogus")
 
     @staticmethod
     def first_match(values, bins) -> dict:
@@ -362,38 +352,26 @@ class TestStats:
                 overflow += 1
         return {"bins": counts, **({"overflow": overflow} if overflow else {})}
 
-    @staticmethod
-    def disjoint(steps) -> tuple:
-        """Bins from (gap, width) steps: each starts ``gap`` past the end of the one before."""
-        bins, lo = [], 0
-        for gap, width in steps:
-            lo += gap
-            bins.append((lo, lo + width))
-            lo += width + 1
-        return tuple(bins)
-
-    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)), min_size=1, max_size=6),
-           st.lists(st.one_of(st.integers(-3, 80), st.floats(-3, 80)), max_size=40))
-    @example([(1, 4), (0, 14)], [0, 1, 5, 5.5, 6, 20, 21])
-    @example([(1, 0), (1, 0)], [1, 2, 3, 4, float("nan")])
+    @given(st.lists(st.one_of(st.integers(-3, 40000), st.floats(-3, 40000)), max_size=40))
+    @example([0, 1, 5, 5.5, 6, 20, 21, 37363, 37363.5, 37364])
+    @example([1, 2, 3, 4, float("nan")])
     @settings(derandomize=True, deadline=None, max_examples=300)
-    def test_bisect_equals_first_match(self, steps, values):
-        bins = self.disjoint(steps)
+    def test_bisect_equals_first_match(self, values):
         records = [mk_record(tag=f"a-b-{i}", changes=v) for i, v in enumerate(values, 1)]
-        out = stats(records, HistogramSpec(metric="changes", bins=bins))
-        assert out == {"metric": "changes", **self.first_match(values, bins)}
+        out = stats(records, "changes")
+        assert out == {"metric": "changes", **self.first_match(values, DEFAULT_BINS["changes"])}
 
     @pytest.mark.parametrize("value", [None, "5"])
     def test_value_that_is_no_number_raises(self, value):
         records = [mk_record(tag="a-b-1", changes=3), mk_record(tag="a-b-2", changes=value)]
         with pytest.raises(TypeError):
-            stats(records, HistogramSpec(metric="changes"))
+            stats(records, "changes")
 
     @given(st.lists(st.integers(1, 37363), max_size=30))
     @settings(deadline=None)
     def test_in_range_values_never_overflow(self, values):
         records = [mk_record(tag=f"a-b-{i}", changes=v) for i, v in enumerate(values, 1)]
-        out = stats(records, HistogramSpec(metric="changes"))
+        out = stats(records, "changes")
         assert "overflow" not in out
         assert sum(out["bins"].values()) == len(values)
 
@@ -429,30 +407,32 @@ class StubRuntime:
 
 
 class TestArtifactTools:
-    def _store(self, tmp_path):
+    @pytest.fixture()
+    def artifact(self, tmp_path, monkeypatch):
+        """``failpass artifact`` on a one-record store, with a StubRuntime; returns the runtime and the command."""
         store = ArtifactStore(tmp_path / "store.jsonl")
         store.persist(mk_record())
-        return store
-
-    def test_fetch_shell_cleanup_delegate(self, tmp_path):
-        store = self._store(tmp_path)
         rt = StubRuntime()
-        rec = artifact_fetch(store, "acme-widgets-11", rt)
-        assert rec.image_tag == "acme-widgets-11"
-        assert artifact_shell(store, "acme-widgets-11", rt) == 0
-        artifact_cleanup(store, "acme-widgets-11", rt, purge=True)
+        monkeypatch.setattr("failpass.cli.default_runtime", lambda: rt)
+        return rt, lambda *argv: main(["artifact", *argv, "--store", str(store.path)])
+
+    def test_fetch_shell_cleanup_delegate(self, artifact, capsys):
+        rt, artifact_cmd = artifact
+        assert artifact_cmd("fetch", "acme-widgets-11") == 0
+        assert json.loads(capsys.readouterr().out)["image_tag"] == "acme-widgets-11"
+        with pytest.raises(SystemExit) as exc:
+            artifact_cmd("shell", "acme-widgets-11")
+        assert exc.value.code == 0
+        assert artifact_cmd("cleanup", "acme-widgets-11", "--purge") == 0
         assert rt.calls == [
             ("fetch", "acme-widgets-11"),
             ("shell", "acme-widgets-11", "acme-widgets-11"),
             ("cleanup", "acme-widgets-11", True),
         ]
 
-    def test_unknown_tag_raises(self, tmp_path):
-        store = self._store(tmp_path)
-        rt = StubRuntime()
-        for fn in (lambda: artifact_fetch(store, "nope-1", rt),
-                   lambda: artifact_shell(store, "nope-1", rt),
-                   lambda: artifact_cleanup(store, "nope-1", rt)):
-            with pytest.raises(StoreError):
-                fn()
+    def test_unknown_tag_raises(self, artifact):
+        rt, artifact_cmd = artifact
+        for action in ("fetch", "shell", "cleanup"):
+            with pytest.raises(StoreError, match="artifact not found: nope-1"):
+                artifact_cmd(action, "nope-1")
         assert rt.calls == []
