@@ -8,20 +8,80 @@ support for a new framework means adding one parser function to that table.
 
 from __future__ import annotations
 
+import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass
 
 from ..model import json_record
+
+
+# --- literal-anchored scans --------------------------------------------------
+# A regex is reached through str.find on literals each of its matches must
+# contain, so a log without them costs one C-level search, not a regex attempt
+# at every position. A literal "\nX" stands for X at a line start.
+
+
+def _occurrences(log: str, literal: str):
+    """Ascending positions where ``literal`` occurs; a "\nX" literal gives the position of X."""
+    skip = 0
+    if literal.startswith("\n"):
+        skip = 1
+        if log.startswith(literal[1:]):
+            yield 0
+    i = log.find(literal)
+    while i >= 0:
+        yield i + skip
+        i = log.find(literal, i + 1)
+
+
+def literal_search(pattern: re.Pattern, log: str, literals: tuple[str, ...]):
+    """``pattern.search(log)`` for a pattern whose every match holds one of ``literals`` on its first line.
+
+    No literal, no regex run. Otherwise the search starts at the line of the
+    first literal: a match holds a literal no earlier than its own start and on
+    the same line, so no match starts before that line. ``^`` and ``\b`` still
+    look at the character before the start position.
+    """
+    starts = [i for i in (next(_occurrences(log, lit), -1) for lit in literals) if i >= 0]
+    return pattern.search(log, log.rfind("\n", 0, min(starts)) + 1) if starts else None
+
+
+def literal_matches(pattern: re.Pattern, log: str, literals: tuple[str, ...]):
+    """``pattern.finditer(log)`` for a pattern whose every match starts with one of ``literals``.
+
+    ``pattern.match`` is tried only where a literal occurs, in order, skipping
+    occurrences inside the last match. A pattern that starts with ``^`` is
+    tried at the line start instead, so its literal may lie anywhere on the
+    match's first line.
+    """
+    line_anchored = pattern.pattern.startswith("^")
+    end = tried = -1
+    for pos in heapq.merge(*(_occurrences(log, lit) for lit in literals)):
+        if line_anchored:
+            pos = log.rfind("\n", 0, pos) + 1
+        if pos < end or pos == tried:
+            continue
+        tried = pos
+        m = pattern.match(log, pos)
+        if m:
+            yield m
+            end = m.end()
+
+
+# the parsers import the helpers above
 from .java import parse_ant_junit, parse_gradle_junit, parse_maven_junit, parse_testng
 from .pythonlogs import parse_pytest, parse_unittest_style
 
 ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]|\x1b\][^\x07]*\x07")
 
 # terminal status markers written by the CI job lifecycle
+_DONE = "Done. Your build exited with "
 _DONE_RE = re.compile(r"Done\. Your build exited with (\d+)\.")
 _ERRORED_RE = re.compile(r"failed and exited with \d+ during")
-_OS_RE = re.compile(r"^Description:\s*(.+?)\s*$", re.MULTILINE)
+# [^\S\n] is whitespace short of a newline: an empty value must not take the next line
+_OS_RE = re.compile(r"^Description:[^\S\n]*(\S.*?)[^\S\n]*$", re.MULTILINE)
+_OS_LITERALS = ("\nDescription:",)
 
 NONE_DETECTED = "none_detected"
 
@@ -59,38 +119,47 @@ class ErrorTag:
 
 
 def clean_log(text: str) -> str:
-    """Strip ANSI escapes and resolve carriage-return progress overwrites."""
-    text = ANSI_RE.sub("", text)
-    lines = []
-    for line in text.split("\n"):
-        lines.append(line.split("\r")[-1] if "\r" in line else line)
-    return "\n".join(lines)
+    """Strip ANSI escapes and resolve carriage-return progress overwrites.
+
+    A line keeps what follows its last carriage return; carriage returns that
+    end a line (CRLF line endings) are dropped first.
+    """
+    if "\x1b" in text:
+        text = ANSI_RE.sub("", text)
+    if "\r" not in text:
+        return text
+    return "\n".join(line.rstrip("\r").rsplit("\r", 1)[-1] for line in text.split("\n"))
 
 
 # --- detection -------------------------------------------------------------
 
+# (name, pattern, literals): every match holds one of the literals on its first line
 _BUILD_SYSTEM_MARKERS = [
-    ("Maven", re.compile(r"\[INFO\] Scanning for projects\.\.\.|Apache Maven \d")),
-    ("Gradle", re.compile(r"Welcome to Gradle|Starting a Gradle Daemon|^> Task :|^:\w+[\w:]*\n", re.MULTILINE)),
-    ("Ant", re.compile(r"^Buildfile: ", re.MULTILINE)),
+    ("Maven", re.compile(r"\[INFO\] Scanning for projects\.\.\.|Apache Maven \d"),
+     ("[INFO] Scanning for projects...", "Apache Maven ")),
+    # a line-start ":" only: timestamps hold ":" mid-line
+    ("Gradle", re.compile(r"Welcome to Gradle|Starting a Gradle Daemon|^> Task :|^:\w+[\w:]*\n", re.MULTILINE),
+     ("Welcome to Gradle", "Starting a Gradle Daemon", "\n> Task :", "\n:")),
+    ("Ant", re.compile(r"^Buildfile: ", re.MULTILINE), ("\nBuildfile: ",)),
 ]
 
 _FRAMEWORK_MARKERS = [
-    ("pytest", re.compile(r"=+ test session starts =+")),
-    ("nose", re.compile(r"\bnosetests\b")),
-    ("unittest2", re.compile(r"\bunittest2\b")),
-    ("testng", re.compile(r"^Total tests run: ", re.MULTILINE)),
-    ("JUnit", re.compile(r"^ T E S T S\s*$|^Tests run: |\[junit\] |^OK \(\d+ tests?\)|^\d+ tests? completed, ", re.MULTILINE)),
-    ("unittest", re.compile(r"^Ran \d+ tests? in ", re.MULTILINE)),
+    ("pytest", re.compile(r"=+ test session starts =+"), ("= test session starts =",)),
+    ("nose", re.compile(r"\bnosetests\b"), ("nosetests",)),
+    ("unittest2", re.compile(r"\bunittest2\b"), ("unittest2",)),
+    ("testng", re.compile(r"^Total tests run: ", re.MULTILINE), ("\nTotal tests run: ",)),
+    ("JUnit", re.compile(r"^ T E S T S\s*$|^Tests run: |\[junit\] |^OK \(\d+ tests?\)|^\d+ tests? completed, ", re.MULTILINE),
+     ("\n T E S T S", "\nTests run: ", "[junit] ", "\nOK (", " completed, ")),
+    ("unittest", re.compile(r"^Ran \d+ tests? in ", re.MULTILINE), ("\nRan ",)),
 ]
 
 
 def _earliest(markers, log: str, allowed=None) -> str:
     hits = []
-    for idx, (name, pattern) in enumerate(markers):
+    for idx, (name, pattern, literals) in enumerate(markers):
         if allowed is not None and name not in allowed:
             continue
-        m = pattern.search(log)
+        m = literal_search(pattern, log, literals)
         if m:
             hits.append((m.start(), idx, name))
     return min(hits)[2] if hits else NONE_DETECTED
@@ -118,12 +187,13 @@ def extract_status(log: str) -> str:
     """
     if _ERRORED_RE.search(log):
         return "errored"
-    done = None
-    for m in _DONE_RE.finditer(log):
-        done = m
-    if done is None:
-        return "errored"
-    return "passed" if done.group(1) == "0" else "failed"
+    # the last terminal line decides; the literal cannot overlap itself, so searching back finds it
+    i = len(log)
+    while (i := log.rfind(_DONE, 0, i)) >= 0:
+        done = _DONE_RE.match(log, i)
+        if done:
+            return "passed" if done.group(1) == "0" else "failed"
+    return "errored"
 
 
 def analyze(log_text: str, language: str) -> LogAttributes:
@@ -137,7 +207,7 @@ def analyze(log_text: str, language: str) -> LogAttributes:
         raise ValueError(f"unsupported language: {language}")
     log = clean_log(log_text)
     status = extract_status(log)
-    os_match = _OS_RE.search(log)
+    os_match = literal_search(_OS_RE, log, _OS_LITERALS)
     os_name = os_match.group(1) if os_match else "unknown"
     build_system = _earliest(_BUILD_SYSTEM_MARKERS, log)
     framework = _earliest(_FRAMEWORK_MARKERS, log, JAVA_FRAMEWORKS if lang == "java" else PYTHON_FRAMEWORKS)
@@ -190,6 +260,8 @@ def extract_error_tags(log_text: str, language: str) -> list[ErrorTag]:
     """
     if language.lower() not in ("java", "python"):
         raise ValueError(f"unsupported language: {language}")
-    counts = Counter(m.group(1) for m in _ERROR_NAME_RE.finditer(clean_log(log_text)))
+    # a match holds "Error" or "Exception" and never crosses a newline, so only those lines are scanned
+    lines = "\n".join(ln for ln in clean_log(log_text).split("\n") if "Error" in ln or "Exception" in ln)
+    counts = Counter(m.group(1) for m in _ERROR_NAME_RE.finditer(lines))
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     return [ErrorTag(name=n, count=c) for n, c in ordered]

@@ -14,7 +14,6 @@ import os
 import shutil
 import subprocess
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -31,12 +30,6 @@ class ProjectNotFound(ConnectorError):
 
 class CorruptArchiveError(ConnectorError):
     pass
-
-
-@dataclass(frozen=True)
-class SnapshotRef:
-    sha: str
-    content_root: Path
 
 
 def build_from_record(record: dict) -> Build:
@@ -108,18 +101,19 @@ class FixtureConnector:
         d = self.project_dir(slug) / "repo"
         return d if d.is_dir() else None
 
-    def fetch_archive_snapshot(self, slug: str, sha: str, dest: os.PathLike) -> Optional[SnapshotRef]:
+    def fetch_archive_snapshot(self, slug: str, sha: str, dest: os.PathLike) -> Optional[Path]:
+        """Extract the archive of ``sha`` under ``dest`` and return its content root; None if not archived."""
         zpath = self.project_dir(slug) / "archive" / f"{sha}.zip"
         if not zpath.is_file():
             return None
-        return extract_archive(zpath, sha, dest)
+        return extract_archive(zpath, dest)
 
     def archive_has(self, slug: str, sha: str) -> bool:
         return (self.project_dir(slug) / "archive" / f"{sha}.zip").is_file()
 
 
-def extract_archive(zpath: Path, sha: str, dest: os.PathLike) -> SnapshotRef:
-    """Extract a code-host style zip (single top-level dir) under ``dest``."""
+def extract_archive(zpath: Path, dest: os.PathLike) -> Path:
+    """Extract a code-host style zip (single top-level dir) under ``dest``; return that directory."""
     try:
         with zipfile.ZipFile(zpath) as zf:
             names = [n for n in zf.namelist() if n]
@@ -133,7 +127,7 @@ def extract_archive(zpath: Path, sha: str, dest: os.PathLike) -> SnapshotRef:
     root = Path(dest) / top
     if not root.is_dir() or not any(root.iterdir()):
         raise CorruptArchiveError(f"corrupt archive: {zpath.name} extracted empty")
-    return SnapshotRef(sha=sha, content_root=root)
+    return root
 
 
 # --- git helpers -----------------------------------------------------------

@@ -51,7 +51,6 @@ class ReproductionError(Exception):
 @dataclass(frozen=True)
 class WorkTree:
     root: Path
-    sha: str
     construction: str  # clone_reset | phantom_merge | archive_zip
 
 
@@ -137,7 +136,7 @@ def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetc
     Push builds clone and reset to the trigger; PR builds recreate the
     phantom merge when both parents are in history; otherwise the
     code-host zip archive is extracted. ``archive_fetch(sha, dest)``
-    returns a SnapshotRef or None.
+    returns the extracted content root or None.
     """
     if coords.availability is not Availability.AVAILABLE:
         raise ReproductionError("state unrecoverable", "project_specific")
@@ -145,20 +144,19 @@ def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetc
     if coords.recovery_source is RecoverySource.GIT_HISTORY:
         if coords.base_sha is None:
             clone_at(repo, coords.trigger_sha, dest)
-            return WorkTree(root=dest, sha=coords.trigger_sha, construction="clone_reset")
+            return WorkTree(root=dest, construction="clone_reset")
         try:
             merge_tree(repo, coords.base_sha, coords.trigger_sha, dest)
         except ConnectorError as exc:
             raise ReproductionError(str(exc), "project_specific") from exc
-        return WorkTree(root=dest, sha=coords.trigger_sha, construction="phantom_merge")
-    sha = coords.merge_sha or coords.trigger_sha
-    snap = archive_fetch(sha, dest.parent / (dest.name + "-zip"))
-    if snap is None:
+        return WorkTree(root=dest, construction="phantom_merge")
+    content_root = archive_fetch(coords.merge_sha or coords.trigger_sha, dest.parent / (dest.name + "-zip"))
+    if content_root is None:
         raise ReproductionError("state unrecoverable", "project_specific")
     dest.mkdir(parents=True, exist_ok=True)
-    for child in snap.content_root.iterdir():
+    for child in content_root.iterdir():
         shutil.move(str(child), dest / child.name)
-    return WorkTree(root=dest, sha=sha, construction="archive_zip")
+    return WorkTree(root=dest, construction="archive_zip")
 
 
 def run_job(script: str, image: str, worktree: WorkTree, timeout_s: float,

@@ -92,9 +92,9 @@ class TestCommitExists:
 class TestArchiveSnapshot:
     def test_archived_sha_extracts(self, widgets_root, tmp_path):
         conn = FixtureConnector(widgets_root)
-        snap = conn.fetch_archive_snapshot("acme/widgets", fake_sha(0xBB1), tmp_path / "x")
-        assert snap is not None
-        assert any(snap.content_root.rglob("*"))
+        root = conn.fetch_archive_snapshot("acme/widgets", fake_sha(0xBB1), tmp_path / "x")
+        assert root is not None
+        assert any(root.rglob("*"))
 
     def test_unarchived_sha_is_absent(self, widgets_root, tmp_path):
         conn = FixtureConnector(widgets_root)

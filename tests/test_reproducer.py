@@ -126,7 +126,7 @@ class TestRevertProject:
                 return None
             from failpass.connector import extract_archive
 
-            return extract_archive(archive, s, dest)
+            return extract_archive(archive, dest)
 
         tree = revert_project(coords, None, fetch, tmp_path / "wt")
         assert tree.construction == "archive_zip"
@@ -145,7 +145,7 @@ class TestRunJob:
         from failpass.connector import clone_at
 
         clone_at(tmp_path / "repo", shas[0], tmp_path / "wt")
-        return WorkTree(root=tmp_path / "wt", sha=shas[0], construction="clone_reset")
+        return WorkTree(root=tmp_path / "wt", construction="clone_reset")
 
     def test_script_runs_and_collects_output(self, tmp_path):
         tree = self._tree(tmp_path, {"run_tests.sh": "#!/bin/sh\necho hello from tests\nexit 0\n"})
