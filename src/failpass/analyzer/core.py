@@ -73,7 +73,8 @@ def literal_matches(pattern: re.Pattern, log: str, literals: tuple[str, ...]):
 from .java import parse_ant_junit, parse_gradle_junit, parse_maven_junit, parse_testng
 from .pythonlogs import parse_pytest, parse_unittest_style
 
-ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]|\x1b\][^\x07]*\x07")
+# an OSC sequence ends at BEL or at ST (ESC \), never past a line break
+ANSI_RE = re.compile(r"\x1b\[[0-9;]*[A-Za-z]|\x1b\][^\x07\x1b\n]*(?:\x07|\x1b\\)")
 
 # terminal status markers written by the CI job lifecycle
 _DONE = "Done. Your build exited with "

@@ -220,13 +220,17 @@ class CommitProbe:
 
 
 def clone_at(repo: os.PathLike, sha: str, dest: os.PathLike) -> Path:
-    """Clone a local repository and hard-reset the tree to sha.
+    """Clone a local repository and check out sha.
 
-    The empty template leaves out git's inactive sample hooks, which each
-    working copy of the tree would otherwise copy and compare too.
+    The clone borrows the source's object store (``--shared`` writes
+    ``.git/objects/info/alternates``), so it copies no object and every
+    object of the source stays reachable, commits no ref reaches included.
+    ``--no-checkout`` writes only sha's files, once. The empty template
+    leaves out git's inactive sample hooks. What remains is what each
+    working copy of the tree copies, compares and removes.
     """
     dest = Path(dest)
-    subprocess.run(["git", "clone", "--quiet", "--template=", str(repo), str(dest)],
+    subprocess.run(["git", "clone", "--quiet", "--template=", "--shared", "--no-checkout", str(repo), str(dest)],
                    capture_output=True, text=True, check=True)
     _git(dest, "checkout", "--quiet", sha)
     return dest

@@ -93,6 +93,39 @@ class LocalRuntime:
         pass
 
 
+def _borrowed_object_dirs(worktree: Path) -> list[tuple[str, str]]:
+    """(host path, path in the container) of each object store the worktree's git borrows from.
+
+    A ``clone --shared`` lists the source's object store in
+    ``.git/objects/info/alternates``, and that store may list further ones.
+    A relative entry is relative to the store whose alternates file lists
+    it. On the host that gives the directory to mount; in the container,
+    where the worktree's own store is ``/build/.git/objects``, it gives the
+    path git looks the store up at.
+    """
+    worktree = Path(worktree).resolve()
+    pending = [(worktree / ".git" / "objects", "/build/.git/objects")]
+    seen: set[Path] = set()
+    dirs = []
+    while pending:
+        host_base, inside_base = pending.pop(0)
+        try:
+            lines = (host_base / "info" / "alternates").read_text().splitlines()
+        except OSError:
+            continue
+        for entry in (line.strip() for line in lines):
+            if not entry or entry.startswith("#"):
+                continue
+            host = (host_base / entry).resolve()
+            if host in seen or not host.is_dir():
+                continue
+            seen.add(host)
+            inside = os.path.normpath(os.path.join(inside_base, entry))
+            dirs.append((str(host), inside))
+            pending.append((host, inside))
+    return dirs
+
+
 class DockerRuntime:
     """Shells out to the docker CLI.
 
@@ -117,6 +150,8 @@ class DockerRuntime:
                    env: Optional[dict[str, str]] = None) -> ExecResult:
         argv = [self.docker, "run", "--rm", "--label", "failpass=job",
                 "-v", f"{Path(worktree).resolve()}:/build", "-w", "/build"]
+        for host, inside in _borrowed_object_dirs(worktree):
+            argv += ["-v", f"{host}:{inside}:ro"]
         for key, value in (env or {}).items():
             argv += ["-e", f"{key}={value}"]
         argv += [image, "/bin/sh", SCRIPT_REL_PATH]

@@ -237,6 +237,11 @@ def test_criterion_3_filter_funnel(catalog_path):
 # --- criterion 4: analyzer golden corpus + fuzz ----------------------------
 
 
+def read_log(path: Path) -> str:
+    """A log as the CLI and the connector read it: bytes decoded, every ``\\r`` kept."""
+    return path.read_bytes().decode("utf-8", errors="replace")
+
+
 def test_criterion_4_analyzer_corpus_and_fuzz():
     start = time.monotonic()
     log_dir = Path(__file__).parent / "fixtures" / "logs"
@@ -249,14 +254,14 @@ def test_criterion_4_analyzer_corpus_and_fuzz():
         return "python" if any(k in name for k in py) else "java"
 
     for name in names:
-        log = (log_dir / f"{name}.txt").read_text()
+        log = read_log(log_dir / f"{name}.txt")
         expected = analyzer.LogAttributes.from_dict(
             json.loads((expected_dir / f"{name}.json").read_text()))
         assert analyzer.analyze(log, language(name)) == expected, name
 
     # 10,000-case fuzz: mutated corpus logs and raw noise, zero aborts
     rng = random.Random(2026)
-    corpus = [(name, (log_dir / f"{name}.txt").read_text()) for name in names]
+    corpus = [(name, read_log(log_dir / f"{name}.txt")) for name in names]
     alphabet = string.printable + "\x1b\r"
     for case in range(10_000):
         lang = rng.choice(["java", "python"])

@@ -73,6 +73,17 @@ class TestCleanLog:
     def test_line_final_carriage_returns_are_dropped(self):
         assert clean_log("a\r\nb 10%\rb 100%\r\r\n\r\nc") == "a\nb 100%\n\nc"
 
+    def test_osc_ends_at_string_terminator_and_never_crosses_a_line(self):
+        text = "\x1b]0;title\x1b\\\nTests run: 3, Failures: 0\nDone. Your build exited with 0.\n\x07bell\n"
+        assert clean_log(text) == "\nTests run: 3, Failures: 0\nDone. Your build exited with 0.\n\x07bell\n"
+
+    def test_osc_ends_at_bel(self):
+        assert clean_log("\x1b]0;title\x07Tests run: 3\n") == "Tests run: 3\n"
+
+    def test_unterminated_osc_is_kept(self):
+        text = "\x1b]0;title\nTests run: 3\x07\n"
+        assert clean_log(text) == text
+
 
 class TestDetection:
     def test_earliest_build_system_marker_wins(self):

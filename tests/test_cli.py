@@ -1,6 +1,9 @@
+import hashlib
 import io
 import json
+import os
 import re
+import stat
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -12,6 +15,15 @@ from failpass.cli import _write_jsonl, main
 from failpass.connector import FixtureConnector
 from failpass.runtime import LocalRuntime, RuntimeUnavailable
 from failpass.store import ArtifactStore
+from conftest import (
+    PYTEST_FAIL_BODY,
+    PYTEST_PASS_BODY,
+    build_record,
+    job_record,
+    make_repo,
+    wrap_original_log,
+    write_project,
+)
 from test_reproducer import stub_docker
 from test_store import mk_record
 
@@ -170,6 +182,56 @@ class TestMineFilterPipeline:
               "--output-dir", str(tmp_path / "output")])
         assert [r["stability"] for r in read_jsonl(records)] == ["reproducible"] * 2
         assert reads == ["acme/pyproj"]
+
+
+def _git_using_script(body: str, exit_code: int) -> str:
+    """A job that commits, checks out a new branch and collects garbage before it prints its log."""
+    return (
+        "#!/bin/sh\n"
+        "git -c user.email=job@ci -c user.name=job commit -q --allow-empty -m 'job commit' || exit 3\n"
+        "git checkout -q -b job-branch || exit 3\n"
+        "git gc -q --prune=now || exit 3\n"
+        f"cat <<'EOG'\n{body}EOG\nexit {exit_code}\n"
+    )
+
+
+def tree_snapshot(root: Path) -> dict:
+    """Each entry under root: its mode, its mtime and, for a file, the hash of its bytes."""
+    snapshot = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames + filenames:
+            path = Path(dirpath, name)
+            st = path.lstat()
+            digest = hashlib.sha256(path.read_bytes()).hexdigest() if stat.S_ISREG(st.st_mode) else None
+            snapshot[str(path.relative_to(root))] = (st.st_mode, st.st_mtime_ns, digest)
+    return snapshot
+
+
+def test_reproduce_never_writes_to_the_fixture_repo(catalog_path, tmp_path, monkeypatch):
+    monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
+    root = tmp_path / "git-world"
+    slug = "acme/gitjobs"
+    repo = root / slug / "repo"
+    shas = make_repo(repo, [{"run_tests.sh": _git_using_script(PYTEST_FAIL_BODY, 1)},
+                            {"run_tests.sh": _git_using_script(PYTEST_PASS_BODY, 0)}])
+    cfg = {"language": "python", "script": ["./run_tests.sh"]}
+    write_project(root, slug, [
+        build_record(601, "failed", "push", "master", "2017-02-01T00:00:00Z",
+                     [job_record(6001, "failed", cfg)], trigger_sha=shas[0]),
+        build_record(602, "passed", "push", "master", "2017-02-02T00:00:00Z",
+                     [job_record(6002, "passed", cfg)], trigger_sha=shas[1]),
+    ], {6001: wrap_original_log(PYTEST_FAIL_BODY, 1), 6002: wrap_original_log(PYTEST_PASS_BODY, 0)})
+    pairs, verdicts, records = (tmp_path / f"{name}.jsonl" for name in ("pairs", "verdicts", "records"))
+    main(["mine", slug, "--fixture", str(root), "--language", "python", "--out", str(pairs)])
+    main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path), "--fixture", str(root),
+          "--out", str(verdicts)])
+    before = tree_snapshot(repo)
+    rc = main(["reproduce", "--verdicts", str(verdicts), "--fixture", str(root), "--repeats", "2",
+               "--timeout-s", "60", "--out", str(records), "--output-dir", str(tmp_path / "output")])
+    assert rc == 0
+    # every git command of every job succeeded, in trees that borrow the fixture repo's objects
+    assert [r["attempts"] for r in read_jsonl(records)] == [[[True, True], [True, True]]]
+    assert tree_snapshot(repo) == before
 
 
 class TestWriteJsonl:

@@ -1,4 +1,5 @@
 import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -87,6 +88,20 @@ class TestCommitExists:
         tree = clone_at(repo, shas[0], tmp_path / "co")
         assert list((tree / ".git").glob("hooks/*.sample")) == []
         assert git(tree, "status", "--porcelain").stdout == ""
+
+    def test_clone_borrows_the_source_objects(self, tmp_path):
+        repo = tmp_path / "repo"
+        shas = make_repo(repo, [{"f": "1\n"}, {"f": "2\n"}])
+        # a commit no ref reaches, as a phantom merge's parent may be
+        git(repo, "reset", "-q", "--hard", shas[0])
+        assert [p for p in (repo / ".git" / "objects").iterdir() if len(p.name) == 2]
+        tree = clone_at(repo, shas[0], tmp_path / "co")
+        objects = tree / ".git" / "objects"
+        assert [p.name for p in objects.iterdir() if len(p.name) == 2] == []
+        (alternate,) = (objects / "info" / "alternates").read_text().split()
+        assert Path(alternate).resolve() == (repo / ".git" / "objects").resolve()
+        assert commit_exists(tree, shas[1])
+        assert (tree / "f").read_text() == "1\n"
 
 
 class TestArchiveSnapshot:

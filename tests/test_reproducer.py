@@ -11,12 +11,16 @@ from pathlib import Path
 import pytest
 
 from failpass import analyzer, reproducer
-from failpass.connector import FixtureConnector
+from failpass.connector import FixtureConnector, clone_at
 from failpass.miner import mine
 from failpass.model import (
     Availability,
     CommitCoordinates,
+    Job,
+    JobPair,
+    Project,
     RecoverySource,
+    Status,
 )
 from failpass.pairfilter import filter_pairs, load_catalog
 from failpass.reproducer import (
@@ -237,6 +241,56 @@ class TestDefaultRuntime:
         result = DockerRuntime().run_script("img", tmp_path, 30.0)
         assert result.exit_status == 3
         assert "job output" in result.log_text
+
+
+def recorded_docker(tmp_path, monkeypatch) -> Path:
+    """A fake ``docker`` whose ``run`` writes its arguments, one a line, to the returned file."""
+    argv_file = tmp_path / "docker-argv"
+    stub_docker(tmp_path, monkeypatch, "exit 0", run=f'shift; printf "%s\\n" "$@" > {argv_file}')
+    return argv_file
+
+
+def volumes(argv_file: Path) -> list[str]:
+    args = argv_file.read_text().splitlines()
+    return [args[i + 1] for i, arg in enumerate(args) if arg == "-v"]
+
+
+class TestDockerMounts:
+    def test_tree_without_alternates_mounts_only_the_build_directory(self, tmp_path, monkeypatch):
+        argv_file = recorded_docker(tmp_path, monkeypatch)
+        tree = tmp_path / "wt"
+        tree.mkdir()
+        DockerRuntime().run_script("img", tree, 30.0)
+        assert volumes(argv_file) == [f"{tree.resolve()}:/build"]
+
+    def test_borrowed_object_stores_are_mounted_read_only_at_their_paths(self, tmp_path, monkeypatch):
+        argv_file = recorded_docker(tmp_path, monkeypatch)
+        origin = tmp_path / "origin"
+        shas = make_repo(origin, [{"a": "1\n"}])
+        # a mirror that borrows from origin through a relative entry: the chain the tree's git follows
+        mirror = tmp_path / "mirror"
+        git(tmp_path, "clone", "-q", "--shared", str(origin), str(mirror))
+        mirror_objects = (mirror / ".git" / "objects").resolve()
+        origin_objects = (origin / ".git" / "objects").resolve()
+        (mirror_objects / "info" / "alternates").write_text(
+            f"# borrowed\n{os.path.relpath(origin_objects, mirror_objects)}\n")
+        tree = clone_at(mirror, shas[0], tmp_path / "wt")
+        DockerRuntime().run_script("img", tree, 30.0)
+        assert volumes(argv_file) == [f"{tree.resolve()}:/build", f"{mirror_objects}:{mirror_objects}:ro",
+                                      f"{origin_objects}:{origin_objects}:ro"]
+
+    def test_relative_entry_of_the_tree_is_mounted_where_git_looks_in_the_container(self, tmp_path, monkeypatch):
+        argv_file = recorded_docker(tmp_path, monkeypatch)
+        origin = tmp_path / "origin"
+        shas = make_repo(origin, [{"a": "1\n"}])
+        tree = clone_at(origin, shas[0], tmp_path / "wt")
+        objects = (tree / ".git" / "objects").resolve()
+        origin_objects = (origin / ".git" / "objects").resolve()
+        (objects / "info" / "alternates").write_text(os.path.relpath(origin_objects, objects) + "\n")
+        assert git(tree, "status", "--porcelain").stdout == ""
+        DockerRuntime().run_script("img", tree, 30.0)
+        # the tree is /build in the container, so ../../../origin/.git/objects is /origin/.git/objects there
+        assert volumes(argv_file)[1:] == [f"{origin_objects}:/origin/.git/objects:ro"]
 
 
 class TestClassification:
@@ -528,6 +582,46 @@ class TestWorkingCopies:
         (side,) = failed
         assert copies[side] == 2 and sum(copies.values()) == 3
         assert list(tmp.iterdir()) == []
+
+
+GIT_REPORTING_SCRIPT = """#!/bin/sh
+git log -1 --format='%H %P'
+git status --porcelain -- . ':(exclude).failpass'
+echo 'status end'
+echo edited >> a
+git -c user.email=job@ci -c user.name=job commit -qam 'job commit' || exit 3
+git checkout -q -b job-branch || exit 3
+"""
+
+
+def test_git_works_in_every_attempts_working_copy(tmp_path):
+    root = tmp_path / "git-world"
+    repo = root / "acme" / "gitjob" / "repo"
+    master = make_repo(repo, [{"a": "1\n"}, {"b": "base\n"}])
+    (trigger,) = add_branch(repo, "feature", master[0], [{"c": "feat\n"}])
+    push = CommitCoordinates(trigger_sha=master[1], availability=Availability.AVAILABLE,
+                             recovery_source=RecoverySource.GIT_HISTORY)
+    merge = CommitCoordinates(trigger_sha=trigger, base_sha=master[1], availability=Availability.AVAILABLE,
+                              recovery_source=RecoverySource.GIT_HISTORY)
+    pair = JobPair(project=Project("acme/gitjob", "python"), failed_build_id=1, passed_build_id=2,
+                   failed_job=Job(1, Status.FAILED, "k"), passed_job=Job(2, Status.PASSED, "k"),
+                   failed_commits=merge, passed_commits=push, group_key=("master", None))
+    ctx = ReproductionContext(connector=FixtureConnector(root), runtime=RUNTIME, language="python",
+                              raw_configs={})
+    outputs = {"fail": [], "pass": []}
+    with pair_inputs(pair, ctx) as inputs:
+        for _ in range(2):
+            for side in outputs:
+                tree = inputs.worktree(side)
+                assert tree.construction == ("phantom_merge" if side == "fail" else "clone_reset")
+                outcome = run_job(GIT_REPORTING_SCRIPT, "img", tree, 30.0, RUNTIME)
+                assert outcome.exit_status == 0, outcome.log_text
+                outputs[side].append(outcome.log_text)
+    assert outputs["pass"] == [f"{master[1]} {master[0]}\nstatus end\n"] * 2
+    # the merge commit of trigger into base, on each attempt, with nothing changed in the tree
+    merge_sha, parents = outputs["fail"][0].split("\n")[0].split(" ", 1)
+    assert len(merge_sha) == 40 and parents == f"{master[1]} {trigger}"
+    assert outputs["fail"] == [f"{merge_sha} {parents}\nstatus end\n"] * 2
 
 
 def test_unreproducible_reason_comes_from_the_side_that_did_not_match(catalog_path, tmp_path):
