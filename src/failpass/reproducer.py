@@ -25,7 +25,7 @@ from . import analyzer
 from .connector import ConnectorError, clone_at, merge_tree
 from .model import Availability, CommitCoordinates, JobPair, RecoverySource, json_record
 from .pairfilter import FilterVerdict
-from .runtime import SCRIPT_REL_PATH, ExecResult
+from .runtime import SCRATCH_ENV, SCRIPT_REL_PATH, ExecResult
 
 DEFAULT_TIMEOUT_S = 1800.0
 DEFAULT_REPEATS = 5
@@ -417,7 +417,7 @@ def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str
         worktree = inputs.worktree(side)
     except ReproductionError as exc:
         return SideResult(matched=False, reason=exc.reason)
-    env = {"FAILPASS_SCRATCH": str(ctx.scratch_dir)} if ctx.scratch_dir else None
+    env = {SCRATCH_ENV: str(ctx.scratch_dir)} if ctx.scratch_dir else None
     outcome = run_job(script, image, worktree, ctx.timeout_s, ctx.runtime, env=env)
     reproduced = analyzer.analyze(outcome.log_text, ctx.language)
     matched = analyzer.compare(original, reproduced) and not outcome.timed_out

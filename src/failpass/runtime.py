@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 SCRIPT_REL_PATH = ".failpass/job.sh"
+SCRATCH_ENV = "FAILPASS_SCRATCH"
 KILLED_EXIT_STATUS = -9
 # docker's own exit status when the daemon or `docker run` itself failed
 ENGINE_ERROR_STATUS = 125
@@ -152,6 +153,9 @@ class DockerRuntime:
                 "-v", f"{Path(worktree).resolve()}:/build", "-w", "/build"]
         for host, inside in _borrowed_object_dirs(worktree):
             argv += ["-v", f"{host}:{inside}:ro"]
+        scratch = (env or {}).get(SCRATCH_ENV)
+        if scratch:  # the job finds it at the path the variable names
+            argv += ["-v", f"{scratch}:{scratch}"]
         for key, value in (env or {}).items():
             argv += ["-e", f"{key}={value}"]
         argv += [image, "/bin/sh", SCRIPT_REL_PATH]

@@ -10,9 +10,8 @@ encoding. The sidecar is trusted only while its
 stamp, the store's (inode, size, mtime_ns), matches; on any mismatch it is
 rebuilt from the store, so deleting it is always safe. A last line without
 a newline that does not parse, as a crash mid-append leaves, is skipped by
-reads and cut off by the next append. Diff metrics follow the
-addition+deletion counting convention (a modified line is one addition
-plus one deletion).
+reads and cut off by the next append. Diff metrics are git's numstat of
+two trees (a modified line is one addition plus one deletion).
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ import json
 import operator
 import os
 import re
+import subprocess
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,94 +82,39 @@ def make_image_tag(slug: str, failing_job_id: int) -> str:
 
 # --- diff metrics ----------------------------------------------------------
 
-_SKIP_DIRS = {".git", ".failpass"}
-
-
-def _tree_files(root: Path) -> dict[str, Path]:
-    out = {}
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            rel = path.relative_to(root)
-            if rel.parts[0] in _SKIP_DIRS:
-                continue
-            out[str(rel)] = path
-    return out
-
-
-def _edit_distance(a: list[str], b: list[str]) -> int:
-    """Fewest line insertions plus deletions turning a into b (Myers 1986).
-
-    The greedy O((N+M)D) search keeps, per diagonal k = x - y, the furthest
-    x reachable with d edits, and stops at the first d that reaches (N, M).
-    Only D is wanted, so there is no edit script and one V array.
-    """
-    n, m = len(a), len(b)
-    offset = n + m + 1
-    v = [0] * (2 * (n + m) + 3)
-    for d in range(n + m + 1):
-        for k in range(-d, d + 1, 2):
-            if k == -d or (k != d and v[offset + k - 1] < v[offset + k + 1]):
-                x = v[offset + k + 1]
-            else:
-                x = v[offset + k - 1] + 1
-            y = x - k
-            while x < n and y < m and a[x] == b[y]:
-                x += 1
-                y += 1
-            v[offset + k] = x
-            if x >= n and y >= m:
-                return d
-    raise AssertionError("unreachable: d = N + M always reaches (N, M)")
-
-
-def _line_changes(a: list[str], b: list[str]) -> int:
-    """Added + deleted lines under an exact minimal line diff.
-
-    additions + deletions = len(a) + len(b) - 2*LCS, so the count is
-    well defined regardless of how a particular diff lays out hunks, and
-    equals `git diff --minimal --numstat` at every size.
-    """
-    # common prefix/suffix trimming keeps the search small for typical edits
-    lo = 0
-    while lo < len(a) and lo < len(b) and a[lo] == b[lo]:
-        lo += 1
-    hi = 0
-    while hi < len(a) - lo and hi < len(b) - lo and a[-1 - hi] == b[-1 - hi]:
-        hi += 1
-    a = a[lo:len(a) - hi]
-    b = b[lo:len(b) - hi]
-    # A line that never occurs on the other side is in no common
-    # subsequence, so it is a change under every alignment; dropping it
-    # keeps the count exact and shrinks the search for rewritten files.
-    in_a, in_b = set(a), set(b)
-    kept_a = [line for line in a if line in in_b]
-    kept_b = [line for line in b if line in in_a]
-    dropped = len(a) - len(kept_a) + len(b) - len(kept_b)
-    return dropped + _edit_distance(kept_a, kept_b)
-
 
 def compute_diff_metrics(failing_tree: Path, passing_tree: Path) -> tuple[int, int]:
-    """(total added+deleted lines, count of files with any change).
+    """(total added+deleted lines, count of files with any change), as git counts them.
 
-    Binary files that differ count as one changed file and two changes.
+    One ``git diff --no-index --no-renames`` with git's minimal algorithm:
+    the final newline, CRLF and a symlink's target all count, a mode change
+    is a changed file with no changed line, a moved file is a delete plus an
+    add, and a differing binary file (a NUL in its first 8000 bytes) counts
+    as two changes. Top-level ``.git`` and ``.failpass`` are skipped.
     """
-    a_files = _tree_files(Path(failing_tree))
-    b_files = _tree_files(Path(passing_tree))
-    num_changes = 0
-    num_files = 0
-    for rel in sorted(set(a_files) | set(b_files)):
-        a_bytes = a_files[rel].read_bytes() if rel in a_files else None
-        b_bytes = b_files[rel].read_bytes() if rel in b_files else None
-        if a_bytes == b_bytes:
+    trees = [Path(tree).resolve() for tree in (failing_tree, passing_tree)]
+    # No user, system or enclosing-repository config or attributes apply; "/" is in no work tree.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GIT_")}
+    env |= {"GIT_CONFIG_NOSYSTEM": "1", "GIT_CONFIG_GLOBAL": os.devnull, "GIT_ATTR_NOSYSTEM": "1"}
+    # --minimal would leave a configured diff.algorithm in force; --diff-algorithm=minimal pins it
+    proc = subprocess.run(
+        ["git", "-c", f"core.attributesFile={os.devnull}", "diff", "--no-index", "--no-renames",
+         "--diff-algorithm=minimal", "--numstat", "-z", "--", *trees],
+        cwd="/", env=env, capture_output=True)
+    # git 2.39 reports a path it cannot read with status 1, the status of "trees differ"
+    if proc.returncode > 1 or proc.stderr:
+        raise StoreError(f"git diff --no-index failed: {os.fsdecode(proc.stderr).strip()}")
+    fail_root, pass_root = (os.fsencode(tree) + b"/" for tree in trees)
+    num_changes = num_files = 0
+    # records are "added\tdeleted\t\0<old>\0<new>\0"; /dev/null names an absent side
+    fields = proc.stdout.split(b"\0")
+    for stat, old, new in zip(fields[0::3], fields[1::3], fields[2::3]):
+        rel = old[len(fail_root):] if old.startswith(fail_root) else new[len(pass_root):]
+        if rel.split(b"/", 1)[0] in (b".git", b".failpass"):
             continue
-        if (a_bytes is not None and b"\0" in a_bytes) or (b_bytes is not None and b"\0" in b_bytes):
-            changed = 2
-        else:
-            a_lines = (a_bytes or b"").decode("utf-8", errors="replace").splitlines()
-            b_lines = (b_bytes or b"").decode("utf-8", errors="replace").splitlines()
-            changed = _line_changes(a_lines, b_lines)
+        added, deleted, _ = stat.split(b"\t")
         num_files += 1
-        num_changes += changed
+        num_changes += 2 if added == b"-" else int(added) + int(deleted)
     return num_changes, num_files
 
 

@@ -263,6 +263,15 @@ class TestDockerMounts:
         DockerRuntime().run_script("img", tree, 30.0)
         assert volumes(argv_file) == [f"{tree.resolve()}:/build"]
 
+    def test_scratch_directory_is_mounted_read_write_at_its_own_path(self, tmp_path, monkeypatch):
+        argv_file = recorded_docker(tmp_path, monkeypatch)
+        tree = tmp_path / "wt"
+        tree.mkdir()
+        scratch = str(tmp_path / "scratch")
+        DockerRuntime().run_script("img", tree, 30.0, env={"FAILPASS_SCRATCH": scratch})
+        assert volumes(argv_file) == [f"{tree.resolve()}:/build", f"{scratch}:{scratch}"]
+        assert f"FAILPASS_SCRATCH={scratch}" in argv_file.read_text().splitlines()
+
     def test_borrowed_object_stores_are_mounted_read_only_at_their_paths(self, tmp_path, monkeypatch):
         argv_file = recorded_docker(tmp_path, monkeypatch)
         origin = tmp_path / "origin"

@@ -4,7 +4,7 @@ import subprocess
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from failpass.cli import main
 from failpass.store import (
@@ -15,7 +15,6 @@ from failpass.store import (
     QueryParseError,
     SideInfo,
     StoreError,
-    _line_changes,
     compute_diff_metrics,
     error_frequency_report,
     make_image_tag,
@@ -113,7 +112,109 @@ def git_numstat_oracle(a: Path, b: Path, tmp: Path) -> tuple[int, int]:
     return changes, files
 
 
+def exec_bit(a: Path, b: Path):
+    for root in (a, b):
+        write_tree(root, {"run.sh": "true\n"})
+    (b / "run.sh").chmod(0o755)
+
+
+def retargeted_symlink(a: Path, b: Path):
+    # the targets' contents are equal; the link text is what changed
+    for root, target in ((a, "one.txt"), (b, "two.txt")):
+        write_tree(root, {"one.txt": "same\n", "two.txt": "same\n"})
+        (root / "link").symlink_to(target)
+
+
+def two_trees(a_files: dict, b_files: dict):
+    return lambda a, b: (write_tree(a, a_files), write_tree(b, b_files))
+
+
+def moved_file(a: Path, b: Path):
+    lines = "".join(f"line {i}\n" for i in range(20))
+    write_tree(a, {"old/m.txt": lines})
+    write_tree(b, {"new/m.txt": lines})
+
+
+def absolute_roots(tmp_path, monkeypatch):
+    return tmp_path / "a", tmp_path / "b"
+
+
+def relative_roots(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    return Path("a"), Path("b")
+
+
+def roots_through_a_symlinked_directory(tmp_path, monkeypatch):
+    (tmp_path / "link").symlink_to(tmp_path, target_is_directory=True)
+    return tmp_path / "link" / "a", tmp_path / "link" / "b"
+
+
+ONE_CHANGED_LINE = two_trees({"x": "a\nb\n"}, {"x": "a\nc\n"})
+
+
+def numstat_changes(a: Path, b: Path) -> int:
+    """Added + deleted lines of a plain ``git diff --no-index --numstat``, under whatever settings apply."""
+    out = subprocess.run(["git", "diff", "--no-index", "--numstat", "--", str(a), str(b)],
+                         capture_output=True, text=True).stdout
+    return sum(int(count) for line in out.splitlines() for count in line.split("\t")[:2])
+
+
 class TestDiffMetrics:
+    @pytest.mark.parametrize("build, roots, want", [
+        pytest.param(two_trees({"x": "a\nb"}, {"x": "a\nb\n"}), absolute_roots, (2, 1), id="final-newline-only"),
+        pytest.param(two_trees({"x": b"a\r\nb\r\n"}, {"x": b"a\nb\n"}), absolute_roots, (4, 1), id="crlf-vs-lf"),
+        pytest.param(two_trees({"x": b"ok\n\xff\n"}, {"x": b"ok\n\xfe\n"}), absolute_roots, (2, 1),
+                     id="invalid-utf8-bytes"),
+        pytest.param(exec_bit, absolute_roots, (0, 1), id="exec-bit"),
+        pytest.param(retargeted_symlink, absolute_roots, (2, 1), id="retargeted-symlink"),
+        pytest.param(ONE_CHANGED_LINE, relative_roots, (2, 1), id="relative-roots"),
+        pytest.param(ONE_CHANGED_LINE, roots_through_a_symlinked_directory, (2, 1), id="symlinked-roots"),
+        # the oracle detects renames and would say (0, 1)
+        pytest.param(moved_file, absolute_roots, (40, 2), id="moved-file-is-delete-plus-add"),
+    ])
+    def test_counts_what_git_counts(self, tmp_path, monkeypatch, build, roots, want):
+        a, b = tmp_path / "a", tmp_path / "b"
+        a.mkdir()
+        b.mkdir()
+        build(a, b)
+        assert compute_diff_metrics(*roots(tmp_path, monkeypatch)) == want
+        if build is not moved_file:
+            assert git_numstat_oracle(a, b, tmp_path) == want
+
+    def test_count_ignores_git_settings_outside_the_trees(self, tmp_path, monkeypatch):
+        # a small-vocabulary pair on which git's histogram and minimal algorithms differ
+        rng = random.Random(0)
+        vocab = [f"line {i}" for i in range(rng.randint(2, 5))]
+        sides = [[rng.choice(vocab) for _ in range(rng.randint(5, 40))] for _ in range(2)]
+        rand = [write_tree(tmp_path / "rand" / side, {"f": "".join(line + "\n" for line in lines)})
+                for side, lines in zip("ab", sides)]
+        crlf = [write_tree(tmp_path / "crlf" / "a", {"x": b"a\r\nb\r\n"}),
+                write_tree(tmp_path / "crlf" / "b", {"x": b"a\nb\n"})]
+        assert [compute_diff_metrics(*rand), compute_diff_metrics(*crlf)] == [(23, 1), (4, 1)]
+
+        # the global config is also the XDG one, so it applies even where GIT_CONFIG_GLOBAL is dropped
+        xdg = write_tree(tmp_path / "xdg", {
+            "git/config": "[diff]\n\talgorithm = histogram\n\trenames = copies\n\texternal = false\n"
+                          "[core]\n\tautocrlf = true\n",
+            "git/attributes": "* text eol=lf\n"})
+        monkeypatch.setenv("XDG_CONFIG_HOME", str(xdg))
+        monkeypatch.setenv("GIT_CONFIG_GLOBAL", str(xdg / "git" / "config"))
+        for i, (key, value) in enumerate([("diff.algorithm", "histogram"), ("core.autocrlf", "true")]):
+            monkeypatch.setenv(f"GIT_CONFIG_KEY_{i}", key)
+            monkeypatch.setenv(f"GIT_CONFIG_VALUE_{i}", value)
+        monkeypatch.setenv("GIT_CONFIG_COUNT", "2")
+        enclosing = write_tree(tmp_path / "enclosing", {".gitattributes": "* text eol=lf\n"})
+        subprocess.run(["git", "init", "-q", str(enclosing)], check=True)
+        monkeypatch.chdir(enclosing)
+        # the settings reach a plain git diff
+        assert (numstat_changes(*rand), numstat_changes(*crlf)) == (27, 0)
+        assert [compute_diff_metrics(*rand), compute_diff_metrics(*crlf)] == [(23, 1), (4, 1)]
+
+    def test_missing_tree_raises(self, tmp_path):
+        a = write_tree(tmp_path / "a", {"x": "1\n"})
+        with pytest.raises(StoreError, match="git diff"):
+            compute_diff_metrics(a, tmp_path / "absent")
+
     def test_identical_trees(self, tmp_path):
         a = write_tree(tmp_path / "a", {"x.py": "print(1)\n"})
         b = write_tree(tmp_path / "b", {"x.py": "print(1)\n"})
@@ -223,9 +324,13 @@ class TestLineChanges:
     @example(["x", "x", "y"], ["y", "x", "x"])
     @example(["x"] * 5, ["x"] * 3)
     @example(["p", "q", "p", "q"], ["q", "p", "q", "p"])
-    @settings(derandomize=True, deadline=None, max_examples=400)
-    def test_equals_lcs_count(self, a, b):
-        assert _line_changes(a, b) == len(a) + len(b) - 2 * brute_force_lcs(a, b)
+    @settings(derandomize=True, deadline=None, max_examples=400,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_lcs_count(self, tmp_path, a, b):
+        # every line ends in a newline, so [] is an empty file
+        trees = [write_tree(tmp_path / side, {"f": "".join(line + "\n" for line in lines)})
+                 for side, lines in (("a", a), ("b", b))]
+        assert compute_diff_metrics(*trees)[0] == len(a) + len(b) - 2 * brute_force_lcs(a, b)
 
 
 class TestStorePersistence:
