@@ -72,11 +72,24 @@ class FixtureConnector:
         return d
 
     def fetch_build_history(self, slug: str) -> list[Build]:
+        """The project's builds; a file or record that cannot be read raises ConnectorError naming it.
+
+        Records are counted from 1.
+        """
         path = self.project_dir(slug) / "builds.json"
         if not path.is_file():
             raise ProjectNotFound(f"project not found: {slug}")
-        records = json.loads(path.read_text())
-        return [build_from_record(r) for r in records]
+        try:
+            records = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ConnectorError(f"{path}: {type(exc).__name__}: {exc}") from None
+        builds = []
+        for n, record in enumerate(records, 1):
+            try:
+                builds.append(build_from_record(record))
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                raise ConnectorError(f"{path}, record {n}: {type(exc).__name__}: {exc}") from None
+        return builds
 
     def fetch_raw_records(self, slug: str) -> list[dict]:
         return json.loads((self.project_dir(slug) / "builds.json").read_text())

@@ -247,6 +247,8 @@ class Build:
             raise ValueError("pr_number must be present exactly for pull_request events")
         if self.status is Status.PASSED and any(j.status is not Status.PASSED for j in self.jobs):
             raise ValueError("a passed build cannot contain non-passed jobs")
+        if self.raw_trigger_sha is not None and not _SHA_RE.fullmatch(self.raw_trigger_sha):
+            raise ValueError(f"trigger_sha is not a 40-hex sha: {self.raw_trigger_sha!r}")
 
     @property
     def group_key(self) -> tuple:

@@ -25,12 +25,13 @@ from . import analyzer
 from .connector import ConnectorError, clone_at, merge_tree
 from .model import Availability, CommitCoordinates, JobPair, RecoverySource, json_record
 from .pairfilter import FilterVerdict
-from .runtime import SCRATCH_ENV, SCRIPT_REL_PATH, ExecResult
+from .runtime import SCRATCH_ENV, ExecResult
 
 DEFAULT_TIMEOUT_S = 1800.0
 DEFAULT_REPEATS = 5
 
 SUPPORTED_CONFIG_KEYS = {"language", "jdk", "python", "env", "install", "script"}
+MAX_SCRIPT_BYTES = 131071  # the kernel's MAX_ARG_STRLEN for one argv string, less its NUL
 
 REASONS = (
     "dependency_install_failed",
@@ -83,7 +84,9 @@ def generate_job_script(config: dict) -> str:
     phase command lists; anything else is a CI command issue. Install
     failures are terminal and marked as errored (phase marker), script
     failures as failed. The script runs on the tree as it is and never
-    moves HEAD, so a PR job runs on its recreated merge commit.
+    moves HEAD, so a PR job runs on its recreated merge commit. The script
+    is passed to the shell as one argument, so a script too long for that,
+    or one holding a NUL byte, is a CI command issue as well.
     """
     unsupported = set(config) - SUPPORTED_CONFIG_KEYS
     if unsupported:
@@ -127,7 +130,11 @@ def generate_job_script(config: dict) -> str:
             "fi",
         ]
     lines += ["echo 'Done. Your build exited with 0.'", "exit 0", ""]
-    return "\n".join(lines)
+    script = "\n".join(lines)
+    if "\0" in script or len(os.fsencode(script)) > MAX_SCRIPT_BYTES:
+        raise ReproductionError("ci command issue: the job script cannot be passed to the shell as one argument",
+                                "ci_command_issue")
+    return script
 
 
 def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetch, dest: Path) -> WorkTree:
@@ -161,11 +168,8 @@ def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetc
 
 def run_job(script: str, image: str, worktree: WorkTree, timeout_s: float,
             runtime, env: Optional[dict[str, str]] = None) -> ExecResult:
-    """Execute the job script inside the matched environment."""
-    script_path = worktree.root / SCRIPT_REL_PATH
-    script_path.parent.mkdir(parents=True, exist_ok=True)
-    script_path.write_text(script)
-    return runtime.run_script(image, worktree.root, timeout_s, env=env)
+    """Execute the job script inside the matched environment; nothing is written into the tree."""
+    return runtime.run_script(image, worktree.root, script, timeout_s, env=env)
 
 
 def classify_reproduced(fail_attrs: analyzer.LogAttributes) -> str:
@@ -244,21 +248,6 @@ def _same_bytes(a: str, b: str) -> bool:
         os.close(fa)
 
 
-def _remove(path: str, st: os.stat_result) -> None:
-    """Remove one entry without following it: only a real directory is removed as a tree."""
-    if stat.S_ISDIR(st.st_mode):
-        shutil.rmtree(path)
-    else:
-        os.unlink(path)
-
-
-def _copy_stat_if_moved(src: str, dst: str, src_st: os.stat_result, dst_st: Optional[os.stat_result]) -> None:
-    """``copystat`` unless ``dst_st``, taken after the last change to ``dst``, already shows src's mode and mtime."""
-    if (dst_st is None or dst_st.st_mtime_ns != src_st.st_mtime_ns
-            or stat.S_IMODE(dst_st.st_mode) != stat.S_IMODE(src_st.st_mode)):
-        shutil.copystat(src, dst, follow_symlinks=False)
-
-
 def _listing(path: str, listings: dict[str, list]) -> list[tuple[str, str, os.stat_result]]:
     """(name, path, lstat) of each entry of a pristine directory, read on the first call only."""
     entries = listings.get(path)
@@ -268,73 +257,41 @@ def _listing(path: str, listings: dict[str, list]) -> list[tuple[str, str, os.st
     return entries
 
 
-def _restore_dir(src: str, dst: str, listings: dict[str, list]) -> bool:
-    """Make the directory ``dst`` hold what ``src`` holds; True when an entry of ``dst`` itself was added or removed."""
-    with os.scandir(dst) as it:
-        have = {e.name: e.stat(follow_symlinks=False) for e in it}
-    changed = False
-    for name, src_path, src_st in _listing(src, listings):
-        target = os.path.join(dst, name)
-        dst_st = have.pop(name, None)
-        if dst_st is not None and stat.S_IFMT(dst_st.st_mode) != stat.S_IFMT(src_st.st_mode):
-            _remove(target, dst_st)
-            dst_st = None
-        if stat.S_ISDIR(src_st.st_mode):
-            if dst_st is None:
-                shutil.copytree(src_path, target, symlinks=True)
-                changed = True
-            elif _restore_dir(src_path, target, listings):
-                shutil.copystat(src_path, target)
-            else:
-                _copy_stat_if_moved(src_path, target, src_st, dst_st)
-            continue
-        if stat.S_ISLNK(src_st.st_mode):
-            link = os.readlink(src_path)
-            if dst_st is not None and os.readlink(target) != link:
-                os.unlink(target)
-                dst_st = None
-            if dst_st is None:
-                os.symlink(link, target)
-                changed = True
-            _copy_stat_if_moved(src_path, target, src_st, dst_st)
-            continue
-        # a hard-linked file may share its inode with a file outside the tree: replace it, never write through it
-        if dst_st is not None and not (stat.S_ISREG(src_st.st_mode) and dst_st.st_nlink == 1
-                                       and dst_st.st_size == src_st.st_size and _same_bytes(src_path, target)):
-            os.unlink(target)
-            dst_st = None
-        if dst_st is None:
-            shutil.copy2(src_path, target, follow_symlinks=False)
-            changed = True
-        else:
-            _copy_stat_if_moved(src_path, target, src_st, dst_st)
-    for name, st in have.items():
-        _remove(os.path.join(dst, name), st)
-        changed = True
-    return changed
+def _same_tree(pristine: Path, work: Path, listings: dict[str, list]) -> bool:
+    """True exactly when ``work`` holds what ``copytree(pristine, symlinks=True)`` would make.
 
-
-def _restore_tree(pristine: Path, work: Path, listings: Optional[dict[str, list]] = None) -> None:
-    """Reset ``work``, an earlier copy of ``pristine``, to what ``copytree(pristine, symlinks=True)`` would make.
-
-    Types, bytes, link targets, modes and mtimes all end up equal to the
-    pristine tree's. A file is kept only when it is a regular file with one
+    Entry names, types, permission bits, mtimes and link targets must be
+    equal, the root's own included, and every regular file must have one
     link and the same bytes, compared in full: size and mtime alone would miss
-    an edit of the same size within one timestamp tick. Nothing is followed
-    through a symlink, and no existing inode is written to. Raises OSError
-    when the tree cannot be reset, and may then leave it half reset.
+    an edit of the same size within one timestamp tick, and a hard-linked file
+    may share its inode with a file outside the tree. Nothing is followed
+    through a symlink and nothing is written; the walk stops at the first
+    difference. Raises OSError when ``work`` cannot be read.
 
     ``listings`` keeps the pristine tree's directory listings from one call
     to the next; it is valid only while nothing changes the pristine tree.
     """
     src, dst = os.fspath(pristine), os.fspath(work)
-    dst_st = os.lstat(dst)
-    if not stat.S_ISDIR(dst_st.st_mode):
-        raise NotADirectoryError(dst)
-    if _restore_dir(src, dst, {} if listings is None else listings):
-        shutil.copystat(src, dst)
-    else:
-        _copy_stat_if_moved(src, dst, os.lstat(src), dst_st)
+    pending = [(src, os.lstat(src), dst, os.lstat(dst))]
+    while pending:
+        src, src_st, dst, dst_st = pending.pop()
+        if src_st.st_mode != dst_st.st_mode or src_st.st_mtime_ns != dst_st.st_mtime_ns:
+            return False
+        if stat.S_ISDIR(src_st.st_mode):
+            entries = _listing(src, listings)
+            with os.scandir(dst) as it:
+                have = {e.name: e for e in it}
+            if len(have) != len(entries) or any(name not in have for name, _, _ in entries):
+                return False
+            pending += [(path, st, have[name].path, have[name].stat(follow_symlinks=False))
+                        for name, path, st in entries]
+        elif stat.S_ISLNK(src_st.st_mode):
+            if os.readlink(src) != os.readlink(dst):
+                return False
+        elif not (stat.S_ISREG(src_st.st_mode) and dst_st.st_nlink == 1 and dst_st.st_size == src_st.st_size
+                  and _same_bytes(src, dst)):
+            return False
+    return True
 
 
 class PairInputs:
@@ -342,12 +299,12 @@ class PairInputs:
 
     The original logs are parsed up front. Each side's pristine tree is built
     under ``pair_dir`` on the first attempt that needs it; no job runs in it.
-    Jobs run in one working copy per side (``.git`` included, no hardlinks),
-    made on the side's first attempt and reset to the pristine tree by
-    ``_restore_tree`` before each later one, so a job that edits its tree
-    cannot affect a later attempt. A copy that cannot be reset is abandoned
-    for a fresh one. A tree that cannot be built fails the same way every
-    time, so its ``ReproductionError`` is kept as well.
+    Jobs run in a working copy per side (``.git`` included, no hardlinks),
+    made on the side's first attempt. Before each later one, ``_same_tree``
+    compares it with the pristine tree: an unchanged copy is reused, and any
+    other is removed and replaced by a fresh one, so a job that edits its
+    tree cannot affect a later attempt. A tree that cannot be built fails
+    the same way every time, so its ``ReproductionError`` is kept as well.
     """
 
     def __init__(self, pair: JobPair, ctx: ReproductionContext, pair_dir: Path):
@@ -380,15 +337,16 @@ class PairInputs:
         work = self._work.get(side)
         if work is not None:
             try:
-                _restore_tree(tree.root, work, self._listings)
+                if _same_tree(tree.root, work, self._listings):
+                    return replace(tree, root=work)
             except OSError:
-                work = None
-        if work is None:
-            # a new directory each time: an abandoned copy may hold files that cannot be removed
-            self._copies += 1
-            work = self._pair_dir / f"work-{self._copies}" / side
-            shutil.copytree(tree.root, work, symlinks=True)
-            self._work[side] = work
+                pass
+            shutil.rmtree(work, ignore_errors=True)
+        # a new directory each time: an abandoned copy may hold files that cannot be removed
+        self._copies += 1
+        work = self._pair_dir / f"work-{self._copies}" / side
+        shutil.copytree(tree.root, work, symlinks=True)
+        self._work[side] = work
         return replace(tree, root=work)
 
 

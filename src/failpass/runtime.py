@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-SCRIPT_REL_PATH = ".failpass/job.sh"
 SCRATCH_ENV = "FAILPASS_SCRATCH"
 KILLED_EXIT_STATUS = -9
 # docker's own exit status when the daemon or `docker run` itself failed
@@ -48,6 +47,7 @@ def _run_with_timeout(argv: list[str], cwd: Path, env: dict, timeout_s: float) -
         argv,
         cwd=cwd,
         env=env,
+        stdin=subprocess.DEVNULL,  # a CI job has no input; never hand it failpass's own
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         start_new_session=True,
@@ -77,11 +77,11 @@ class LocalRuntime:
 
     _KEEP_ENV = ("PATH", "HOME", "LANG", "TMPDIR")
 
-    def run_script(self, image: str, worktree: Path, timeout_s: float,
+    def run_script(self, image: str, worktree: Path, script: str, timeout_s: float,
                    env: Optional[dict[str, str]] = None) -> ExecResult:
         run_env = {k: os.environ[k] for k in self._KEEP_ENV if k in os.environ}
         run_env.update(env or {})
-        return _run_with_timeout(["/bin/sh", SCRIPT_REL_PATH], Path(worktree), run_env, timeout_s)
+        return _run_with_timeout(["/bin/sh", "-c", script], Path(worktree), run_env, timeout_s)
 
     # artifact tooling: local backend treats images as no-ops
     def fetch_image(self, image: str) -> None:
@@ -134,12 +134,11 @@ class DockerRuntime:
     daemon does not answer cannot run jobs, so it is reported unavailable.
     """
 
-    def __init__(self, docker: str = "docker"):
-        self.docker = docker
-        if shutil.which(docker) is None:
-            raise RuntimeUnavailable(f"container engine not found: {docker}")
+    def __init__(self):
+        if shutil.which("docker") is None:
+            raise RuntimeUnavailable("container engine not found: docker")
         try:
-            probe = subprocess.run([docker, "version"], capture_output=True, text=True,
+            probe = subprocess.run(["docker", "version"], capture_output=True, text=True,
                                    timeout=ENGINE_PROBE_TIMEOUT_S)
         except (OSError, subprocess.SubprocessError) as exc:
             raise RuntimeUnavailable(f"container engine did not answer: {exc}") from exc
@@ -147,9 +146,9 @@ class DockerRuntime:
             raise RuntimeUnavailable(
                 f"container engine did not answer: {(probe.stderr or probe.stdout).strip()}")
 
-    def run_script(self, image: str, worktree: Path, timeout_s: float,
+    def run_script(self, image: str, worktree: Path, script: str, timeout_s: float,
                    env: Optional[dict[str, str]] = None) -> ExecResult:
-        argv = [self.docker, "run", "--rm", "--label", "failpass=job",
+        argv = ["docker", "run", "--rm", "--label", "failpass=job",
                 "-v", f"{Path(worktree).resolve()}:/build", "-w", "/build"]
         for host, inside in _borrowed_object_dirs(worktree):
             argv += ["-v", f"{host}:{inside}:ro"]
@@ -158,7 +157,7 @@ class DockerRuntime:
             argv += ["-v", f"{scratch}:{scratch}"]
         for key, value in (env or {}).items():
             argv += ["-e", f"{key}={value}"]
-        argv += [image, "/bin/sh", SCRIPT_REL_PATH]
+        argv += [image, "/bin/sh", "-c", script]
         result = _run_with_timeout(argv, Path(worktree), dict(os.environ), timeout_s)
         if result.exit_status == ENGINE_ERROR_STATUS:
             # an engine failure says nothing about the pair; never let it become a verdict
@@ -166,23 +165,23 @@ class DockerRuntime:
         return result
 
     def fetch_image(self, image: str) -> None:
-        subprocess.run([self.docker, "pull", image], check=True)
+        subprocess.run(["docker", "pull", image], check=True)
 
     def shell(self, image: str, label: str) -> int:
         proc = subprocess.run(
-            [self.docker, "run", "-it", "--label", f"failpass-artifact={label}", image, "/bin/bash"],
+            ["docker", "run", "-it", "--label", f"failpass-artifact={label}", image, "/bin/bash"],
         )
         return proc.returncode
 
     def cleanup(self, label: str, purge: bool = False) -> None:
         ids = subprocess.run(
-            [self.docker, "ps", "-aq", "--filter", f"label=failpass-artifact={label}"],
+            ["docker", "ps", "-aq", "--filter", f"label=failpass-artifact={label}"],
             capture_output=True, text=True, check=True,
         ).stdout.split()
         if ids:
-            subprocess.run([self.docker, "rm", "-f", *ids], check=True)
+            subprocess.run(["docker", "rm", "-f", *ids], check=True)
         if purge:
-            subprocess.run([self.docker, "rmi", "-f", label], check=False)
+            subprocess.run(["docker", "rmi", "-f", label], check=False)
 
 
 def default_runtime():

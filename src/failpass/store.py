@@ -90,7 +90,7 @@ def compute_diff_metrics(failing_tree: Path, passing_tree: Path) -> tuple[int, i
     the final newline, CRLF and a symlink's target all count, a mode change
     is a changed file with no changed line, a moved file is a delete plus an
     add, and a differing binary file (a NUL in its first 8000 bytes) counts
-    as two changes. Top-level ``.git`` and ``.failpass`` are skipped.
+    as two changes. A top-level ``.git`` is skipped.
     """
     trees = [Path(tree).resolve() for tree in (failing_tree, passing_tree)]
     # No user, system or enclosing-repository config or attributes apply; "/" is in no work tree.
@@ -110,7 +110,7 @@ def compute_diff_metrics(failing_tree: Path, passing_tree: Path) -> tuple[int, i
     fields = proc.stdout.split(b"\0")
     for stat, old, new in zip(fields[0::3], fields[1::3], fields[2::3]):
         rel = old[len(fail_root):] if old.startswith(fail_root) else new[len(pass_root):]
-        if rel.split(b"/", 1)[0] in (b".git", b".failpass"):
+        if rel.split(b"/", 1)[0] == b".git":
             continue
         added, deleted, _ = stat.split(b"\t")
         num_files += 1

@@ -316,7 +316,7 @@ class TestStoreCommands:
 
 
 class TestUserInputErrors:
-    """A malformed query, a missing fixture or project and an unreadable catalog end in one line."""
+    """Malformed user input ends in one line: a query, a missing fixture or project, a build record, a catalog."""
 
     def test_malformed_query_names_the_position(self, seeded_store):
         with pytest.raises(SystemExit) as exc:
@@ -337,6 +337,35 @@ class TestUserInputErrors:
         with pytest.raises(SystemExit, match="^failpass: catalog unreadable: "):
             main(["filter", "--pairs", str(pairs), "--catalog", str(tmp_path / "absent.json"),
                   "--fixture", str(widgets_root)])
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda r: r.update(status="succeeded"), "ValueError: 'succeeded' is not a valid Status"),
+        (lambda r: r.pop("committed_at"), "KeyError: 'committed_at'"),
+        (lambda r: r.update(trigger_sha=r["trigger_sha"][:7]), "ValueError: trigger_sha is not a 40-hex sha: "),
+        (lambda r: r["jobs"][0].update(config=["language", "java"]),
+         "ConfigError: unparseable configuration: expected a mapping"),
+    ], ids=["unknown-status", "no-committed-at", "short-trigger-sha", "config-not-a-mapping"])
+    def test_unreadable_build_record_names_file_and_record(self, widgets_root, tmp_path, edit, error):
+        records = json.loads((widgets_root / "acme" / "widgets" / "builds.json").read_text())
+        edit(records[2])
+        builds = tmp_path / "acme" / "widgets" / "builds.json"
+        builds.parent.mkdir(parents=True)
+        builds.write_text(json.dumps(records))
+        out = tmp_path / "pairs.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", "acme/widgets", "--fixture", str(tmp_path), "--out", str(out)])
+        assert exc.value.code.startswith(f"failpass: {builds}, record 3: {error}")
+        assert "\n" not in exc.value.code
+        assert not out.exists()
+
+    def test_builds_file_that_is_not_json_names_the_file(self, tmp_path):
+        builds = tmp_path / "acme" / "widgets" / "builds.json"
+        builds.parent.mkdir(parents=True)
+        builds.write_text('[{"build_id": 1,\n')
+        with pytest.raises(SystemExit) as exc:
+            main(["mine", "acme/widgets", "--fixture", str(tmp_path), "--out", str(tmp_path / "pairs.jsonl")])
+        assert exc.value.code.startswith(f"failpass: {builds}: JSONDecodeError: ")
+        assert "\n" not in exc.value.code
 
 
 class TestParser:

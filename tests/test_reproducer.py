@@ -183,6 +183,40 @@ class TestRunJob:
         outcome = run_job(script, "img", tree, 30.0, LocalRuntime())
         assert "token=unset" in outcome.log_text
 
+    def test_job_sees_exactly_the_built_tree(self, tmp_path):
+        tree = self._tree(tmp_path, {"run_tests.sh": "#!/bin/sh\n", "b.txt": "b\n"})
+        outcome = run_job(generate_job_script({"script": ["ls -A"]}), "img", tree, 30.0, RUNTIME)
+        assert "$ ls -A\n.git\nb.txt\nrun_tests.sh\n" in outcome.log_text
+        assert sorted(os.listdir(tree.root)) == [".git", "b.txt", "run_tests.sh"]
+
+    def test_job_reads_eof_on_stdin(self, tmp_path):
+        tree = self._tree(tmp_path, {"a": "1\n"})
+        # failpass's own stdin is a pipe that stays open: a job that inherited it would block
+        read_end, write_end = os.pipe()
+        saved_stdin = os.dup(0)
+        os.dup2(read_end, 0)
+        try:
+            start = time.monotonic()
+            outcome = run_job(generate_job_script({"script": ["cat"]}), "img", tree, 10.0, RUNTIME)
+        finally:
+            os.dup2(saved_stdin, 0)
+            for fd in (saved_stdin, read_end, write_end):
+                os.close(fd)
+        assert (outcome.exit_status, outcome.timed_out) == (0, False)
+        assert time.monotonic() - start < 5
+
+    def test_longest_script_runs_and_one_byte_more_is_a_ci_command_issue(self, tmp_path):
+        tree = self._tree(tmp_path, {"a": "1\n"})
+        padding = reproducer.MAX_SCRIPT_BYTES - len(generate_job_script({"env": ["PAD=x"]})) + 1
+        script = generate_job_script({"env": ["PAD=" + "x" * padding]})
+        assert len(script) == reproducer.MAX_SCRIPT_BYTES
+        outcome = run_job(script, "img", tree, 30.0, RUNTIME)
+        assert outcome.exit_status == 0
+        assert "Done. Your build exited with 0." in outcome.log_text
+        with pytest.raises(ReproductionError) as exc:
+            generate_job_script({"env": ["PAD=" + "x" * (padding + 1)]})
+        assert exc.value.reason == "ci_command_issue"
+
     def test_pr_job_runs_on_the_phantom_merge(self, tmp_path):
         repo = tmp_path / "repo"
         master = make_repo(repo, [{"a": "1\n"}, {"b": "base\n"}])
@@ -234,24 +268,28 @@ class TestDefaultRuntime:
         stub_docker(tmp_path, monkeypatch, "exit 0",
                     run=f'echo "docker: Error response from daemon: {DAEMON_DOWN}" >&2; exit 125')
         with pytest.raises(RuntimeUnavailable, match="Error response from daemon"):
-            DockerRuntime().run_script("img", tmp_path, 30.0)
+            DockerRuntime().run_script("img", tmp_path, "exit 0", 30.0)
 
     def test_job_exit_status_passes_through(self, tmp_path, monkeypatch):
         stub_docker(tmp_path, monkeypatch, "exit 0", run='echo "job output"; exit 3')
-        result = DockerRuntime().run_script("img", tmp_path, 30.0)
+        result = DockerRuntime().run_script("img", tmp_path, "exit 0", 30.0)
         assert result.exit_status == 3
         assert "job output" in result.log_text
 
 
 def recorded_docker(tmp_path, monkeypatch) -> Path:
-    """A fake ``docker`` whose ``run`` writes its arguments, one a line, to the returned file."""
+    """A fake ``docker`` whose ``run`` writes its arguments, each ended by a NUL, to the returned file."""
     argv_file = tmp_path / "docker-argv"
-    stub_docker(tmp_path, monkeypatch, "exit 0", run=f'shift; printf "%s\\n" "$@" > {argv_file}')
+    stub_docker(tmp_path, monkeypatch, "exit 0", run=f'shift; printf "%s\\0" "$@" > {argv_file}')
     return argv_file
 
 
+def docker_args(argv_file: Path) -> list[str]:
+    return argv_file.read_text().split("\0")[:-1]
+
+
 def volumes(argv_file: Path) -> list[str]:
-    args = argv_file.read_text().splitlines()
+    args = docker_args(argv_file)
     return [args[i + 1] for i, arg in enumerate(args) if arg == "-v"]
 
 
@@ -260,17 +298,22 @@ class TestDockerMounts:
         argv_file = recorded_docker(tmp_path, monkeypatch)
         tree = tmp_path / "wt"
         tree.mkdir()
-        DockerRuntime().run_script("img", tree, 30.0)
+        script = generate_job_script({"script": ["./run_tests.sh"]})
+        DockerRuntime().run_script("img", tree, script, 30.0)
         assert volumes(argv_file) == [f"{tree.resolve()}:/build"]
+        # the script is the shell's one argument; nothing is written into the tree
+        assert docker_args(argv_file)[-4:] == ["img", "/bin/sh", "-c", script]
+        assert list(tree.iterdir()) == []
 
     def test_scratch_directory_is_mounted_read_write_at_its_own_path(self, tmp_path, monkeypatch):
         argv_file = recorded_docker(tmp_path, monkeypatch)
         tree = tmp_path / "wt"
         tree.mkdir()
         scratch = str(tmp_path / "scratch")
-        DockerRuntime().run_script("img", tree, 30.0, env={"FAILPASS_SCRATCH": scratch})
+        DockerRuntime().run_script("img", tree, "exit 0", 30.0, env={"FAILPASS_SCRATCH": scratch})
         assert volumes(argv_file) == [f"{tree.resolve()}:/build", f"{scratch}:{scratch}"]
-        assert f"FAILPASS_SCRATCH={scratch}" in argv_file.read_text().splitlines()
+        assert f"FAILPASS_SCRATCH={scratch}" in docker_args(argv_file)
+        assert docker_args(argv_file)[-4:] == ["img", "/bin/sh", "-c", "exit 0"]
 
     def test_borrowed_object_stores_are_mounted_read_only_at_their_paths(self, tmp_path, monkeypatch):
         argv_file = recorded_docker(tmp_path, monkeypatch)
@@ -284,7 +327,7 @@ class TestDockerMounts:
         (mirror_objects / "info" / "alternates").write_text(
             f"# borrowed\n{os.path.relpath(origin_objects, mirror_objects)}\n")
         tree = clone_at(mirror, shas[0], tmp_path / "wt")
-        DockerRuntime().run_script("img", tree, 30.0)
+        DockerRuntime().run_script("img", tree, "exit 0", 30.0)
         assert volumes(argv_file) == [f"{tree.resolve()}:/build", f"{mirror_objects}:{mirror_objects}:ro",
                                       f"{origin_objects}:{origin_objects}:ro"]
 
@@ -297,7 +340,7 @@ class TestDockerMounts:
         origin_objects = (origin / ".git" / "objects").resolve()
         (objects / "info" / "alternates").write_text(os.path.relpath(origin_objects, objects) + "\n")
         assert git(tree, "status", "--porcelain").stdout == ""
-        DockerRuntime().run_script("img", tree, 30.0)
+        DockerRuntime().run_script("img", tree, "exit 0", 30.0)
         # the tree is /build in the container, so ../../../origin/.git/objects is /origin/.git/objects there
         assert volumes(argv_file)[1:] == [f"{origin_objects}:/origin/.git/objects:ro"]
 
@@ -502,13 +545,6 @@ class TestSharedPairInputs:
         assert record.category == "with_failed_test"
         assert parsed == {2001: 1, 2002: 1}
 
-    def test_every_attempt_gets_a_fresh_tree(self, edit_root, catalog_path, tmp_path):
-        pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
-        ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
-        record = stability_protocol(pair, verdict, ctx, n=5)
-        assert record.stability == "reproducible"
-        assert record.attempts == [(True, True)] * 5
-
     def test_conflicting_phantom_merge_tried_once(self, e2e_root, catalog_path, tmp_path, monkeypatch):
         # the pass side stays on the project's history; the fail side merges two branches that clash
         repo = tmp_path / "conflict-repo"
@@ -558,33 +594,46 @@ def _counting_copies(monkeypatch):
 
 
 class TestWorkingCopies:
-    def test_one_copy_per_side(self, edit_root, catalog_path, tmp_path, monkeypatch):
+    def test_one_copy_per_side(self, e2e_root, catalog_path, tmp_path, monkeypatch):
+        # the job leaves its tree alone, so each check finds the copy unchanged
         copies = _counting_copies(monkeypatch)
-        pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
-        ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
+        pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
+        ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
         record = stability_protocol(pair, verdict, ctx, n=5)
         assert record.attempts == [(True, True)] * 5
         assert copies == {"fail": 1, "pass": 1}
 
-    def test_failed_restore_falls_back_to_a_fresh_copy(self, edit_root, catalog_path, tmp_path, monkeypatch):
+    def test_an_edited_copy_is_replaced(self, edit_root, catalog_path, tmp_path, monkeypatch):
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        copies = _counting_copies(monkeypatch)
         pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
         ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        assert record.stability == "reproducible"
+        assert record.attempts == [(True, True)] * 5
+        assert copies == {"fail": 5, "pass": 5}
+        assert list(tmp.iterdir()) == []
+
+    def test_failed_restore_falls_back_to_a_fresh_copy(self, e2e_root, catalog_path, tmp_path, monkeypatch):
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
+        ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
         clean = stability_protocol(pair, verdict, ctx, n=5)
         copies = _counting_copies(monkeypatch)
-        real = reproducer._restore_tree
+        real = reproducer._same_tree
         failed = []
 
-        def restore_failing_once(pristine, work, listings):
+        def check_failing_once(pristine, work, listings):
             if failed:
                 return real(pristine, work, listings)
             failed.append(Path(work).name)
-            # the job's edit of state.txt is still in the copy: reusing it would fail the next attempt
             raise PermissionError(errno.EACCES, "Permission denied", str(work))
 
-        monkeypatch.setattr(reproducer, "_restore_tree", restore_failing_once)
+        monkeypatch.setattr(reproducer, "_same_tree", check_failing_once)
         faulted = stability_protocol(pair, verdict, ctx, n=5)
         assert faulted == clean
         assert clean.attempts == [(True, True)] * 5
@@ -595,7 +644,7 @@ class TestWorkingCopies:
 
 GIT_REPORTING_SCRIPT = """#!/bin/sh
 git log -1 --format='%H %P'
-git status --porcelain -- . ':(exclude).failpass'
+git status --porcelain
 echo 'status end'
 echo edited >> a
 git -c user.email=job@ci -c user.name=job commit -qam 'job commit' || exit 3
@@ -644,6 +693,17 @@ def test_unreproducible_reason_comes_from_the_side_that_did_not_match(catalog_pa
     record = stability_protocol(pair, verdict, ctx, n=3)
     assert record.attempts == [(True, False)] * 3
     assert (record.stability, record.unreproducibility_reason) == ("unreproducible", "stale_url_or_network")
+
+
+@pytest.mark.parametrize("env", [["PAD=" + "x" * (128 * 1024)], ["PAD=a\0b"]], ids=["128KiB", "NUL"])
+def test_a_script_that_cannot_be_one_argument_is_a_ci_command_issue(e2e_root, catalog_path, tmp_path, env):
+    pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
+    ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
+    job_id = pair.failed_job.job_id
+    ctx.raw_configs[job_id] = {**ctx.raw_configs[job_id], "env": env}
+    record = stability_protocol(pair, verdict, ctx, n=2)
+    assert record.attempts == [(False, True)] * 2
+    assert (record.stability, record.unreproducibility_reason) == ("unreproducible", "ci_command_issue")
 
 
 def test_unreproducible_reason_of_a_script_that_cannot_be_generated(e2e_root, catalog_path, tmp_path):

@@ -1,4 +1,4 @@
-"""Resetting a working copy in place leaves exactly what a fresh copy of the pristine tree would."""
+"""A working copy is reused only when it holds exactly what a fresh copy of the pristine tree would."""
 
 import os
 import shutil
@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failpass.reproducer import _restore_tree
+from failpass.reproducer import _same_tree
 from conftest import git, make_repo
 
 SENTINEL = b"outside the tree\n"
@@ -38,14 +38,22 @@ def snapshot(root: Path) -> dict:
     return out
 
 
-def assert_restores_to_a_fresh_copy(pristine: Path, work: Path, scratch: Path, listings=None):
-    _restore_tree(pristine, work, listings)
+def fresh_snapshot(pristine: Path, scratch: Path) -> dict:
     fresh = scratch / "fresh"
     shutil.copytree(pristine, fresh, symlinks=True)
     try:
-        assert snapshot(work) == snapshot(fresh)
+        return snapshot(fresh)
     finally:
         shutil.rmtree(fresh)
+
+
+def has_linked_file(root: Path) -> bool:
+    for dirpath, _, filenames in os.walk(root):
+        for name in filenames:
+            st_ = os.lstat(os.path.join(dirpath, name))
+            if stat.S_ISREG(st_.st_mode) and st_.st_nlink > 1:
+                return True
+    return False
 
 
 @pytest.fixture()
@@ -70,66 +78,95 @@ def world(tmp_path):
 
 class TestFixedCases:
     def test_same_size_edit_with_mtime_reset(self, world):
-        pristine, work, _, scratch = world
+        pristine, work, _, _ = world
         target = work / "src" / "pkg" / "data.txt"
         before = os.stat(target)
         target.write_text("ABCDEF\n")
         os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert_restores_to_a_fresh_copy(pristine, work, scratch)
-        assert target.read_text() == "abcdef\n"
+        assert not _same_tree(pristine, work, {})
 
     def test_file_and_directory_swap_types(self, world):
-        pristine, work, _, scratch = world
+        pristine, work, _, _ = world
         (work / "run.sh").unlink()
         (work / "run.sh").mkdir()
-        (work / "run.sh" / "inner").write_text("inner\n")
+        assert not _same_tree(pristine, work, {})
+        shutil.rmtree(work)
+        shutil.copytree(pristine, work, symlinks=True)
         shutil.rmtree(work / "docs")
         (work / "docs").write_text("now a file\n")
-        assert_restores_to_a_fresh_copy(pristine, work, scratch)
+        assert not _same_tree(pristine, work, {})
 
-    def test_symlink_to_an_outside_directory_is_unlinked_not_followed(self, world):
-        pristine, work, outside, scratch = world
-        (work / "src" / "pkg" / "mod.py").unlink()
-        os.symlink(outside, work / "src" / "pkg" / "mod.py")
+    def test_added_entry_with_the_directory_mtime_put_back(self, world):
+        pristine, work, _, _ = world
+        before = os.stat(work / "docs")
+        (work / "docs" / "extra.md").write_text("extra\n")
+        os.utime(work / "docs", ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert not _same_tree(pristine, work, {})
+
+    def test_symlink_to_an_outside_directory_is_not_followed(self, world):
+        pristine, work, outside, _ = world
+        # the link's target holds exactly what the directory held: only the link itself differs
+        shutil.copytree(pristine / "docs", outside / "docs")
+        shutil.copystat(pristine / "docs", outside / "docs")
+        root = os.stat(work)
         shutil.rmtree(work / "docs")
-        os.symlink(outside, work / "docs")
-        os.unlink(work / "pkg-link")
-        os.symlink(outside, work / "pkg-link")
-        assert_restores_to_a_fresh_copy(pristine, work, scratch)
-        assert sorted(os.listdir(outside)) == ["sentinel"]
+        os.symlink(outside / "docs", work / "docs")
+        os.utime(work, ns=(root.st_atime_ns, root.st_mtime_ns))
+        assert not _same_tree(pristine, work, {})
+        assert sorted(os.listdir(outside)) == ["docs", "sentinel"]
         assert (outside / "sentinel").read_bytes() == SENTINEL
 
     @pytest.mark.parametrize("outside_bytes", [b"x = 1\n", b"x = 2\n", b"a longer outside file\n"])
     def test_hard_link_to_an_outside_file_is_replaced(self, world, outside_bytes):
-        pristine, work, outside, scratch = world
+        """A file that shares its inode with one outside the tree reads as changed, so the copy is replaced."""
+        pristine, work, outside, _ = world
+        original = pristine / "src" / "pkg" / "mod.py"
         shared = outside / "shared.py"
         shared.write_bytes(outside_bytes)
-        shared.chmod(0o600)
-        os.utime(shared, ns=(1_000_000_000, 1_000_000_000))
+        shutil.copystat(original, shared)
         before = os.stat(shared)
+        pkg = os.stat(work / "src" / "pkg")
         (work / "src" / "pkg" / "mod.py").unlink()
         os.link(shared, work / "src" / "pkg" / "mod.py")
-        assert_restores_to_a_fresh_copy(pristine, work, scratch)
+        os.utime(work / "src" / "pkg", ns=(pkg.st_atime_ns, pkg.st_mtime_ns))
+        assert not _same_tree(pristine, work, {})
         after = os.stat(shared)
         assert shared.read_bytes() == outside_bytes
-        assert (after.st_mode, after.st_mtime_ns, after.st_nlink) == (before.st_mode, before.st_mtime_ns, 1)
+        assert (after.st_mode, after.st_mtime_ns, after.st_nlink) == (before.st_mode, before.st_mtime_ns, 2)
 
     def test_git_checkout_rewrites_the_index(self, tmp_path):
         pristine = tmp_path / "pristine"
-        first, second = make_repo(pristine, [{"a.txt": "one\n", "run.sh": "#!/bin/sh\n"},
-                                             {"a.txt": "two\n", "b/c.txt": "new\n"}])
+        first, _ = make_repo(pristine, [{"a.txt": "one\n", "run.sh": "#!/bin/sh\n"},
+                                        {"a.txt": "two\n", "b/c.txt": "new\n"}])
         work = tmp_path / "work"
         shutil.copytree(pristine, work, symlinks=True)
+        assert _same_tree(pristine, work, {})
         index_before = (work / ".git" / "index").read_bytes()
         git(work, "checkout", "--quiet", first)
         assert (work / ".git" / "index").read_bytes() != index_before
-        assert_restores_to_a_fresh_copy(pristine, work, tmp_path)
-        assert git(work, "rev-parse", "HEAD").stdout.strip() == second
-        assert git(work, "status", "--porcelain").stdout == ""
+        assert not _same_tree(pristine, work, {})
+
+    @pytest.mark.parametrize("change", ["chmod", "touch"])
+    def test_root_mode_and_mtime_count(self, world, change):
+        pristine, work, _, _ = world
+        if change == "chmod":
+            work.chmod(os.stat(work).st_mode ^ 0o020)
+        else:
+            os.utime(work, ns=(1_000_000_000, 1_000_000_000))
+        assert not _same_tree(pristine, work, {})
 
     def test_unchanged_copy_stays_equal(self, world):
-        pristine, work, _, scratch = world
-        assert_restores_to_a_fresh_copy(pristine, work, scratch)
+        pristine, work, _, _ = world
+        listings = {}
+        assert _same_tree(pristine, work, listings)
+        assert _same_tree(pristine, work, listings)  # from the cached listings too
+
+    def test_a_copy_whose_files_were_only_read_is_equal(self, world):
+        pristine, work, _, _ = world
+        for path in entries(work):
+            if path.is_file() and not path.is_symlink():
+                path.read_bytes()
+        assert _same_tree(pristine, work, {})
 
 
 # --- random pristine trees and random job mutations --------------------------
@@ -238,9 +275,9 @@ def mutate(work: Path, outside: Path, op: str, pick: int, data: bytes):
 
 class TestRandomTrees:
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(tree=trees, attempts=st.lists(mutations, min_size=1, max_size=3))
-    def test_restore_equals_a_fresh_copy(self, tree, attempts):
-        with tempfile.TemporaryDirectory(prefix="restore-prop-") as tmp:
+    @given(tree=trees, steps=mutations)
+    def test_same_tree_iff_equal_to_a_fresh_copy(self, tree, steps):
+        with tempfile.TemporaryDirectory(prefix="same-tree-prop-") as tmp:
             tmp = Path(tmp)
             pristine, outside = tmp / "pristine", tmp / "outside"
             build(pristine, ("dir", tree, False, 1_500_000_000_000_000_000))
@@ -249,12 +286,10 @@ class TestRandomTrees:
             work = tmp / "work"
             shutil.copytree(pristine, work, symlinks=True)
             want = snapshot(pristine)
-            listings = {}  # kept across attempts, as a pair keeps it
-            for steps in attempts:
-                for step in steps:
-                    mutate(work, outside, *step)
-                outside_before = snapshot(outside)
-                assert_restores_to_a_fresh_copy(pristine, work, tmp, listings)
-                assert snapshot(outside) == outside_before
-                assert (outside / "sentinel").read_bytes() == SENTINEL
-            assert snapshot(pristine) == want
+            for step in steps:
+                mutate(work, outside, *step)
+            outside_before, work_before = snapshot(outside), snapshot(work)
+            same = _same_tree(pristine, work, {})
+            assert same == (work_before == fresh_snapshot(pristine, tmp) and not has_linked_file(work))
+            assert (snapshot(work), snapshot(outside), snapshot(pristine)) == (work_before, outside_before, want)
+            assert (outside / "sentinel").read_bytes() == SENTINEL
