@@ -13,7 +13,7 @@ from pathlib import Path
 from . import analyzer
 from .connector import ConnectorError, make_connector
 from .miner import mine
-from .model import JobPair, parse_timestamp
+from .model import JobPair, parse_timestamp, replace_file
 from .pairfilter import DEFAULT_DOCKER_CUTOFF, CatalogError, FilterVerdict, filter_pairs, load_catalog
 from .reproducer import (
     DEFAULT_REPEATS,
@@ -31,29 +31,23 @@ def _write_jsonl(path, records):
         for r in records:
             print(json.dumps(r))
         return
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            for r in records:
-                fh.write(json.dumps(r) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    replace_file(path, (f"{json.dumps(r)}\n".encode() for r in records))
 
 
 def _read_jsonl(path, decode):
-    """``decode`` of each non-blank line's JSON; a bad line exits naming the file and its line number."""
+    """``decode`` of each non-blank line's JSON; a bad line or file exits naming the file (and line number)."""
     out = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                out.append(decode(json.loads(line)))
-            except (ValueError, TypeError, KeyError, AttributeError) as exc:
-                raise SystemExit(f"{path}, line {line_no}: {type(exc).__name__}: {exc}") from None
+    try:
+        with open(path, "rb") as fh:  # json.loads decodes each line, so bad bytes name their line
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    out.append(decode(json.loads(line)))
+                except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                    raise SystemExit(f"{path}, line {line_no}: {type(exc).__name__}: {exc}") from None
+    except OSError as exc:
+        raise SystemExit(f"failpass: {path}: {exc.strerror}") from None
     return out
 
 
@@ -95,7 +89,7 @@ def cmd_reproduce(args):
     def log_sink(pid, attempt, side, text):
         path = out_dir / pid / f"attempt-{attempt}" / f"{side}.log"
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        replace_file(path, [text.encode()])
 
     records = []
     raw_configs: dict[str, dict[int, dict]] = {}  # slug -> job_id -> raw config

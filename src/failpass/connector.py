@@ -63,7 +63,7 @@ class FixtureConnector:
         self.root = Path(root)
         if not self.root.is_dir():
             raise ConnectorError(f"fixture directory not found: {self.root}")
-        self._log_index: Optional[dict[int, Path]] = None
+        self._log_index: Optional[dict[int, list[Path]]] = None
 
     def project_dir(self, slug: str) -> Path:
         d = self.root / slug
@@ -71,44 +71,47 @@ class FixtureConnector:
             raise ProjectNotFound(f"project not found: {slug}")
         return d
 
-    def fetch_build_history(self, slug: str) -> list[Build]:
-        """The project's builds; a file or record that cannot be read raises ConnectorError naming it.
-
-        Records are counted from 1.
-        """
+    def _read_builds(self, slug: str) -> tuple[list[dict], list[Build]]:
+        """``builds.json``'s records and Builds; ConnectorError names a non-array file or a bad record (from 1)."""
         path = self.project_dir(slug) / "builds.json"
-        if not path.is_file():
-            raise ProjectNotFound(f"project not found: {slug}")
         try:
             records = json.loads(path.read_text())
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             raise ConnectorError(f"{path}: {type(exc).__name__}: {exc}") from None
+        if not isinstance(records, list):
+            raise ConnectorError(f"{path}: not a JSON array of build records")
         builds = []
         for n, record in enumerate(records, 1):
             try:
                 builds.append(build_from_record(record))
             except (ValueError, TypeError, KeyError, AttributeError) as exc:
                 raise ConnectorError(f"{path}, record {n}: {type(exc).__name__}: {exc}") from None
-        return builds
+        return records, builds
+
+    def fetch_build_history(self, slug: str) -> list[Build]:
+        """The project's builds; an unreadable file or record raises ConnectorError naming it."""
+        return self._read_builds(slug)[1]
 
     def fetch_raw_records(self, slug: str) -> list[dict]:
-        return json.loads((self.project_dir(slug) / "builds.json").read_text())
+        """The project's build records as ``builds.json`` holds them, each checked as ``fetch_build_history`` does."""
+        return self._read_builds(slug)[0]
 
-    def _index_logs(self) -> dict[int, Path]:
+    def _index_logs(self) -> dict[int, list[Path]]:
         if self._log_index is None:
             self._log_index = {}
             for path in self.root.glob("*/*/logs/*.txt"):
                 try:
-                    self._log_index[int(path.stem)] = path
+                    self._log_index.setdefault(int(path.stem), []).append(path)
                 except ValueError:
                     continue
         return self._log_index
 
     def fetch_job_log(self, job_id: int) -> Optional[str]:
-        path = self._index_logs().get(job_id)
-        if path is None:
-            return None
-        return path.read_bytes().decode("utf-8", errors="replace")
+        """The job's log, None if no project has one; ConnectorError if there is more than one."""
+        paths = self._index_logs().get(job_id, [])
+        if len(paths) > 1:
+            raise ConnectorError(f"job {job_id} has more than one log: {' and '.join(map(str, sorted(paths)))}")
+        return paths[0].read_bytes().decode("utf-8", errors="replace") if paths else None
 
     def repo_path(self, slug: str) -> Optional[Path]:
         d = self.project_dir(slug) / "repo"
@@ -240,10 +243,12 @@ def clone_at(repo: os.PathLike, sha: str, dest: os.PathLike) -> Path:
     object of the source stays reachable, commits no ref reaches included.
     ``--no-checkout`` writes only sha's files, once. The empty template
     leaves out git's inactive sample hooks. What remains is what each
-    working copy of the tree copies, compares and removes.
+    working copy of the tree copies, compares and removes; the clone's
+    config turns off reflogs, which nothing reads, for every git command in it.
     """
     dest = Path(dest)
-    subprocess.run(["git", "clone", "--quiet", "--template=", "--shared", "--no-checkout", str(repo), str(dest)],
+    subprocess.run(["git", "clone", "--quiet", "--template=", "--shared", "--no-checkout",
+                    "--config", "core.logAllRefUpdates=false", str(repo), str(dest)],
                    capture_output=True, text=True, check=True)
     _git(dest, "checkout", "--quiet", sha)
     return dest

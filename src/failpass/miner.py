@@ -50,11 +50,8 @@ def group_builds(history: list[Build]) -> list[BuildGroup]:
     """
     buckets: dict[tuple, list[Build]] = {}
     for b in history:
-        if b.event is Event.PULL_REQUEST:
-            key = (None, b.pr_number)
-        elif b.branch is not None:
-            key = (b.branch, None)
-        else:
+        key = b.group_key
+        if key == (None, None):  # a push build without a branch
             key = QUARANTINE_KEY
             log.warning("build %s has neither branch nor pr_number; quarantined", b.build_id)
         buckets.setdefault(key, []).append(b)

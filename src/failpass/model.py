@@ -10,13 +10,15 @@ import dataclasses
 import functools
 import json
 import operator
+import os
 import re
 import types
 import typing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Optional
+from pathlib import Path
+from typing import Iterable, Optional
 
 _SHA_RE = re.compile(r"^[0-9a-f]{40}$")
 
@@ -217,6 +219,19 @@ def _to_dict(self) -> dict:
 
 def _from_dict(cls, d: dict):
     return _class_codec(cls)[1](d)
+
+
+def replace_file(path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` over ``path`` via ``.<name>.<pid>.tmp`` and ``os.replace``; any error removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def json_record(cls):

@@ -95,13 +95,21 @@ class CatalogError(Exception):
 
 
 def load_catalog(path) -> list[dict]:
+    """The image catalog, a JSON array of objects; CatalogError names the file and any bad entry (from 1)."""
     try:
         entries = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise CatalogError(f"catalog unreadable: {path}: {exc}") from exc
-    for e in entries:
-        e["built_at"] = parse_timestamp(e["built_at"])
-        e["instance_re"] = re.compile(e["instance_pattern"])
+    if not isinstance(entries, list):
+        raise CatalogError(f"catalog unreadable: {path}: not a JSON array of objects")
+    for n, e in enumerate(entries, 1):
+        try:
+            e["built_at"] = parse_timestamp(e["built_at"])
+            e["instance_re"] = re.compile(e["instance_pattern"])
+            if not all(isinstance(e[k], str) for k in ("registry", "name", "tag", "language")):
+                raise TypeError("registry, name, tag and language must be strings")
+        except (KeyError, TypeError, AttributeError, ValueError, re.error) as exc:
+            raise CatalogError(f"catalog unreadable: {path}, entry {n}: {type(exc).__name__}: {exc}") from None
     return entries
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .model import json_record
+from .model import json_record, replace_file
 
 
 @dataclass(frozen=True)
@@ -288,13 +288,13 @@ class ArtifactStore:
             fcntl.flock(fh, fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH)
             yield fh
 
-    def _lines(self, fh):
-        """(line number, offset, line bytes, object) per non-blank line, from the start of the store.
+    def _bad_line(self, line_no: int, exc: Exception) -> StoreError:
+        return StoreError(f"{self.path}, line {line_no}: {type(exc).__name__}: {exc}")
 
-        A last line without a newline that does not parse is what a crash
-        mid-append leaves; it yields ``None`` as its object and ends the
-        scan. Any other bad line raises StoreError.
-        """
+    def _build(self, fh) -> StoreIndex:
+        """The index of the whole store; a bad line raises StoreError, but a torn last line ends the index."""
+        stamp = _stamp(fh)
+        index = StoreIndex(stamp, end=stamp[1])
         fh.seek(0)
         offset = 0
         for line_no, raw in enumerate(fh, 1):
@@ -308,23 +308,10 @@ class ArtifactStore:
             except ValueError as exc:
                 if raw.endswith(b"\n"):
                     raise self._bad_line(line_no, exc) from None
-                yield line_no, start, raw, None
-                return
-            yield line_no, start, raw, d
-
-    def _bad_line(self, line_no: int, exc: Exception) -> StoreError:
-        return StoreError(f"{self.path}, line {line_no}: {type(exc).__name__}: {exc}")
-
-    def _build(self, fh) -> StoreIndex:
-        """The index of the whole store, one line at a time."""
-        stamp = _stamp(fh)
-        index = StoreIndex(stamp, end=stamp[1])
-        for line_no, offset, raw, d in self._lines(fh):
-            if d is None:
-                index.end = offset
+                index.end = start
                 break
             try:
-                index.add(d, offset, len(raw), _verbatim(raw, d))
+                index.add(d, start, len(raw), _verbatim(raw, d))
             except (KeyError, TypeError, AttributeError, ValueError) as exc:
                 raise self._bad_line(line_no, exc) from None
         return index
@@ -344,15 +331,10 @@ class ArtifactStore:
 
     def _save(self, index: StoreIndex) -> None:
         """Replace the sidecar atomically; where that fails the index stays in memory only."""
-        tmp = self.index_path.with_name(f".{self.index_path.name}.{os.getpid()}.tmp")
         try:
-            with tmp.open("wb") as out:
-                out.writelines(index.dump())
-            os.replace(tmp, self.index_path)
+            replace_file(self.index_path, index.dump())
         except OSError:
             pass  # derived data: the next reader rebuilds it
-        finally:
-            tmp.unlink(missing_ok=True)
 
     def _read(self, fh, index: StoreIndex, row: int) -> bytes:
         fh.seek(index.column("offset")[row])
@@ -368,19 +350,12 @@ class ArtifactStore:
             raise self._bad_line(fh.read(offset).count(b"\n") + 1, exc) from None
 
     def load(self) -> list[ArtifactMetadata]:
-        """Every record, decoded; the full-decode path that the index answers for."""
-        records = []
+        """Every record in store order, each line found through the index and decoded."""
         with self._locked() as fh:
             if fh is None:
                 return []
-            for line_no, _, _, d in self._lines(fh):
-                if d is None:
-                    break
-                try:
-                    records.append(ArtifactMetadata.from_dict(d))
-                except (ValueError, TypeError, KeyError) as exc:
-                    raise self._bad_line(line_no, exc) from None
-        return records
+            index = self._index(fh)
+            return [self._decode(fh, index, row) for row in range(index.rows)]
 
     def index(self) -> StoreIndex:
         """The store's index, for the statistics functions; empty when there is no store."""

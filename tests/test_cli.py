@@ -94,6 +94,13 @@ class TestMineFilterPipeline:
             main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
                   "--fixture", str(widgets_root), "--out", str(tmp_path / "verdicts.jsonl")])
 
+    def test_undecodable_line_names_file_and_line(self, widgets_root, catalog_path, tmp_path):
+        pairs = self._mined_pairs(widgets_root, tmp_path)
+        pairs.write_bytes(pairs.read_bytes() + b'{"project": "\xff"}\n')
+        with pytest.raises(SystemExit, match=rf"^{re.escape(str(pairs))}, line 3: UnicodeDecodeError"):
+            main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
+                  "--fixture", str(widgets_root), "--out", str(tmp_path / "verdicts.jsonl")])
+
     def test_bad_verdict_line_names_file_and_line(self, widgets_root, tmp_path):
         verdicts = tmp_path / "verdicts.jsonl"
         verdicts.write_text('{"stage_reached": "with_image"}\n')
@@ -315,8 +322,34 @@ class TestStoreCommands:
             main(["artifact", "fetch", "nope-1", "--store", str(seeded_store)])
 
 
+@pytest.fixture()
+def pyproj_verdicts(e2e_root, catalog_path, tmp_path) -> Path:
+    """The verdicts of acme/pyproj, whose one pair reaches an image."""
+    pairs, verdicts = tmp_path / "pairs.jsonl", tmp_path / "verdicts.jsonl"
+    main(["mine", "acme/pyproj", "--fixture", str(e2e_root), "--language", "python", "--out", str(pairs)])
+    main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path), "--fixture", str(e2e_root),
+          "--out", str(verdicts)])
+    return verdicts
+
+
+def fails_in_one_line(argv: list[str], out: Path) -> str:
+    """The message of ``main(argv + --out out)``, which must exit 1 with one ``failpass:`` line and write no ``out``."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    message = exc.value.code  # a string code is printed to stderr, with exit status 1
+    assert isinstance(message, str) and message.startswith("failpass: ") and "\n" not in message
+    assert not out.exists()
+    return message
+
+
+def _without_config(records: list[dict]) -> list[dict]:
+    job = {k: v for k, v in records[0]["jobs"][0].items() if k != "config"}
+    return [{**records[0], "jobs": [job]}, *records[1:]]
+
+
 class TestUserInputErrors:
-    """Malformed user input ends in one line: a query, a missing fixture or project, a build record, a catalog."""
+    """Malformed user input ends in one line: a query, a missing fixture or project, a builds file, a catalog,
+    an input file, a job log in two projects."""
 
     def test_malformed_query_names_the_position(self, seeded_store):
         with pytest.raises(SystemExit) as exc:
@@ -366,6 +399,68 @@ class TestUserInputErrors:
             main(["mine", "acme/widgets", "--fixture", str(tmp_path), "--out", str(tmp_path / "pairs.jsonl")])
         assert exc.value.code.startswith(f"failpass: {builds}: JSONDecodeError: ")
         assert "\n" not in exc.value.code
+
+    @pytest.mark.parametrize("command, text, error", [
+        ("mine", lambda records: json.dumps({"builds": records}), ": not a JSON array of build records"),
+        ("reproduce", lambda records: json.dumps({"builds": records}), ": not a JSON array of build records"),
+        ("reproduce", lambda records: json.dumps(_without_config(records)), ", record 1: KeyError: 'config'"),
+        ("reproduce", lambda records: json.dumps(records)[:-1], ": JSONDecodeError: "),
+    ], ids=["mine-top-level-object", "reproduce-top-level-object", "reproduce-job-without-config",
+            "reproduce-not-json"])
+    def test_unreadable_builds_file(self, e2e_root, pyproj_verdicts, tmp_path, command, text, error):
+        fixture = tmp_path / "fixture"
+        builds = write_project(fixture, "acme/pyproj", []) / "builds.json"
+        builds.write_text(text(json.loads((e2e_root / "acme" / "pyproj" / "builds.json").read_text())))
+        argv = {"mine": ["mine", "acme/pyproj"],
+                "reproduce": ["reproduce", "--verdicts", str(pyproj_verdicts), "--output-dir", str(tmp_path / "logs")]}
+        message = fails_in_one_line([*argv[command], "--fixture", str(fixture)], tmp_path / "out.jsonl")
+        assert message.startswith(f"failpass: {builds}{error}")
+        assert not (tmp_path / "logs").exists()
+
+    ENTRY = {"language": "Java", "registry": "quay.io", "name": "ci-jvm", "tag": "2015-01",
+             "built_at": "2015-01-01T00:00:00Z", "instance_pattern": r"worker-[A-Za-z0-9._-]+"}
+
+    @pytest.mark.parametrize("catalog, error", [
+        ([{"language": "java"}], ", entry 1: KeyError: 'built_at'"),
+        ([ENTRY, {k: v for k, v in ENTRY.items() if k != "registry"}], ", entry 2: KeyError: 'registry'"),
+        ([{**ENTRY, "instance_pattern": "("}], ", entry 1: error: missing )"),
+        ([{**ENTRY, "built_at": "last winter"}], ", entry 1: ValueError: "),
+        ([{**ENTRY, "language": ["Java"]}], ", entry 1: TypeError: registry, name, tag and language must be strings"),
+        ([ENTRY, "ci-jvm"], ", entry 2: TypeError: "),
+        ({"x": {"a": 1}}, ": not a JSON array of objects"),
+        ({}, ": not a JSON array of objects"),
+    ], ids=["no-built-at", "no-registry", "bad-pattern", "bad-timestamp", "language-not-a-string",
+            "entry-not-an-object", "top-level-object", "empty-object"])
+    def test_unreadable_catalog_names_file_and_entry(self, widgets_root, tmp_path, catalog, error):
+        pairs, path = tmp_path / "pairs.jsonl", tmp_path / "images.json"
+        pairs.touch()
+        path.write_text(json.dumps(catalog))
+        message = fails_in_one_line(["filter", "--pairs", str(pairs), "--catalog", str(path),
+                                     "--fixture", str(widgets_root)], tmp_path / "verdicts.jsonl")
+        assert message.startswith(f"failpass: catalog unreadable: {path}{error}")
+
+    @pytest.mark.parametrize("command", ["filter", "reproduce"])
+    @pytest.mark.parametrize("make, reason", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unreadable_input_file_names_it(self, widgets_root, catalog_path, tmp_path, command, make, reason):
+        path = tmp_path / "input.jsonl"
+        make(path)
+        argv = {"filter": ["filter", "--pairs", str(path), "--catalog", str(catalog_path)],
+                "reproduce": ["reproduce", "--verdicts", str(path)]}
+        message = fails_in_one_line([*argv[command], "--fixture", str(widgets_root)], tmp_path / "out.jsonl")
+        assert message == f"failpass: {path}: {reason}"
+
+    def test_job_log_in_two_projects_names_both(self, e2e_root, catalog_path, tmp_path):
+        pairs = tmp_path / "pairs.jsonl"
+        main(["mine", "acme/pyproj", "--fixture", str(e2e_root), "--language", "python", "--out", str(pairs)])
+        fixture = tmp_path / "fixture"
+        logs = [write_project(fixture, slug, [], {2001: "a log"}) / "logs" / "2001.txt"
+                for slug in ("acme/pyproj", "other/fork")]
+        message = fails_in_one_line(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
+                                     "--fixture", str(fixture)], tmp_path / "verdicts.jsonl")
+        assert message == f"failpass: job 2001 has more than one log: {logs[0]} and {logs[1]}"
 
 
 class TestParser:

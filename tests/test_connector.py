@@ -11,6 +11,7 @@ from failpass.connector import (
     clone_at,
     commit_exists,
     make_connector,
+    merge_tree,
 )
 from failpass.model import Status
 from conftest import fake_sha, git, make_repo, write_project
@@ -88,6 +89,15 @@ class TestCommitExists:
         tree = clone_at(repo, shas[0], tmp_path / "co")
         assert list((tree / ".git").glob("hooks/*.sample")) == []
         assert git(tree, "status", "--porcelain").stdout == ""
+
+    def test_clone_and_merge_write_no_reflogs(self, tmp_path):
+        repo = tmp_path / "repo"
+        shas = make_repo(repo, [{"f": "1\n"}, {"f": "2\n"}])
+        trees = [clone_at(repo, shas[0], tmp_path / "co"), merge_tree(repo, shas[0], shas[1], tmp_path / "merge")]
+        # a job's own git commands in the tree write none either
+        git(trees[0], "-c", "user.email=job@ci", "-c", "user.name=job", "commit", "-q", "--allow-empty", "-m", "job")
+        for tree in trees:
+            assert not (tree / ".git" / "logs").exists()
 
     def test_clone_borrows_the_source_objects(self, tmp_path):
         repo = tmp_path / "repo"

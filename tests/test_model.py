@@ -1,9 +1,12 @@
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import failpass
 from failpass.model import (
     Availability,
     Build,
@@ -143,3 +146,24 @@ def test_project_slug_validation():
         Project(slug="nodash", primary_language="Java")
     with pytest.raises(ValueError):
         Project(slug="a/b", primary_language="")
+
+
+def test_whole_file_writes_go_through_replace_file():
+    """In src, ``os.replace`` is called only inside ``model.replace_file``, and no module calls
+    ``write_text`` or ``write_bytes``, so every whole-file write is atomic and removes its temp file."""
+    os_replace, path_writes = [], []
+    for path in sorted(Path(failpass.__file__).parent.rglob("*.py")):
+        module = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(module) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(module):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if node.attr in ("write_text", "write_bytes"):
+                path_writes.append(f"{path.name}:{node.lineno}")
+            elif node.attr == "replace" and isinstance(node.value, ast.Name) and node.value.id == "os":
+                scope = node
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                os_replace.append((path.name, getattr(scope, "name", None)))
+    assert os_replace == [("model.py", "replace_file")]
+    assert path_writes == []

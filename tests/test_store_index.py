@@ -291,6 +291,11 @@ class TestSidecar:
         assert two_records.index_path.exists()
         assert sorted(p.name for p in two_records.path.parent.iterdir()) == ["store.jsonl", "store.jsonl.idx"]
 
+    def test_load_reads_through_a_rebuilt_sidecar(self, two_records):
+        two_records.index_path.unlink()
+        assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2"]
+        assert two_records.index_path.exists()
+
     def test_sidecar_with_altered_body_is_rebuilt(self, two_records):
         lines = two_records.index_path.read_bytes().split(b"\n")
         at = json.loads(lines[0])["fields"].index("num_changes") + 1
