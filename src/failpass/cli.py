@@ -45,7 +45,7 @@ def _read_jsonl(path, decode):
                 try:
                     out.append(decode(json.loads(line)))
                 except (ValueError, TypeError, KeyError, AttributeError) as exc:
-                    raise SystemExit(f"{path}, line {line_no}: {type(exc).__name__}: {exc}") from None
+                    raise SystemExit(f"failpass: {path}, line {line_no}: {type(exc).__name__}: {exc}") from None
     except OSError as exc:
         raise SystemExit(f"failpass: {path}: {exc.strerror}") from None
     return out

@@ -10,6 +10,7 @@ agnostic.
 from __future__ import annotations
 
 import os
+import selectors
 import shutil
 import signal
 import subprocess
@@ -23,6 +24,9 @@ KILLED_EXIT_STATUS = -9
 # docker's own exit status when the daemon or `docker run` itself failed
 ENGINE_ERROR_STATUS = 125
 ENGINE_PROBE_TIMEOUT_S = 10.0
+# how long output is still read once a job's process group is killed; only a
+# process that left the group can hold the pipe open that long
+DRAIN_TIMEOUT_S = 1.0
 
 
 class RuntimeUnavailable(Exception):
@@ -41,7 +45,39 @@ class ExecResult:
             raise ValueError("timed-out runs must carry the killed exit status")
 
 
-def _run_with_timeout(argv: list[str], cwd: Path, env: dict, timeout_s: float) -> ExecResult:
+def _read_output(sel: selectors.BaseSelector, out, chunks: list[bytes], deadline: float) -> bool:
+    """Append what ``out`` yields to ``chunks`` until another registered fd turns readable.
+
+    Returns True then, or once nothing is left registered (``out`` is
+    unregistered at EOF); False when ``deadline`` passes first.
+    """
+    while sel.get_map():
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            return False
+        for key, _ in sel.select(remaining):
+            if key.fileobj is not out:
+                return True
+            data = os.read(out.fileno(), 1 << 16)  # a pipe's default capacity
+            if data:
+                chunks.append(data)
+            else:
+                sel.unregister(out)
+    return True
+
+
+def _run_with_timeout(argv: list[str], cwd: Optional[Path], env: Optional[dict],
+                      timeout_s: float) -> ExecResult:
+    """Run ``argv`` in a new session until its leader exits or ``timeout_s`` passes.
+
+    One selector waits on the output pipe and on a pidfd of the leader, so
+    the run ends when the leader exits, not when the pipe closes, and
+    nothing polls. Then what is left of the leader's process group is
+    killed: the leader is not yet reaped and still holds the group id, so
+    the kill reaches no reused pid. The pipe is drained to EOF, for at most
+    ``DRAIN_TIMEOUT_S``, and the leader reaped. A run past the deadline is
+    killed the same way and keeps the output read so far.
+    """
     start = time.monotonic()
     proc = subprocess.Popen(
         argv,
@@ -52,23 +88,26 @@ def _run_with_timeout(argv: list[str], cwd: Path, env: dict, timeout_s: float) -
         stderr=subprocess.STDOUT,
         start_new_session=True,
     )
-    try:
-        out, _ = proc.communicate(timeout=timeout_s)
-        timed_out = False
-        status = proc.returncode
-    except subprocess.TimeoutExpired:
+    chunks: list[bytes] = []
+    with proc, selectors.DefaultSelector() as sel:
+        sel.register(proc.stdout, selectors.EVENT_READ)
         try:
+            pidfd = os.pidfd_open(proc.pid)
+            try:
+                sel.register(pidfd, selectors.EVENT_READ)
+                exited = _read_output(sel, proc.stdout, chunks, start + timeout_s)
+                sel.unregister(pidfd)
+            finally:
+                os.close(pidfd)
+        finally:
+            # the unreaped leader holds the group id, so the group exists and is the job's
             os.killpg(proc.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-        out, _ = proc.communicate()
-        timed_out = True
-        status = KILLED_EXIT_STATUS
+        _read_output(sel, proc.stdout, chunks, time.monotonic() + DRAIN_TIMEOUT_S)
     return ExecResult(
-        exit_status=status,
-        log_text=(out or b"").decode("utf-8", errors="replace"),
+        exit_status=proc.returncode if exited else KILLED_EXIT_STATUS,
+        log_text=b"".join(chunks).decode("utf-8", errors="replace"),
         wall_time=time.monotonic() - start,
-        timed_out=timed_out,
+        timed_out=not exited,
     )
 
 
@@ -138,13 +177,13 @@ class DockerRuntime:
         if shutil.which("docker") is None:
             raise RuntimeUnavailable("container engine not found: docker")
         try:
-            probe = subprocess.run(["docker", "version"], capture_output=True, text=True,
-                                   timeout=ENGINE_PROBE_TIMEOUT_S)
-        except (OSError, subprocess.SubprocessError) as exc:
+            probe = _run_with_timeout(["docker", "version"], None, None, ENGINE_PROBE_TIMEOUT_S)
+        except OSError as exc:
             raise RuntimeUnavailable(f"container engine did not answer: {exc}") from exc
-        if probe.returncode != 0:
-            raise RuntimeUnavailable(
-                f"container engine did not answer: {(probe.stderr or probe.stdout).strip()}")
+        if probe.timed_out:
+            raise RuntimeUnavailable(f"container engine did not answer within {ENGINE_PROBE_TIMEOUT_S} s")
+        if probe.exit_status != 0:
+            raise RuntimeUnavailable(f"container engine did not answer: {probe.log_text.strip()}")
 
     def run_script(self, image: str, worktree: Path, script: str, timeout_s: float,
                    env: Optional[dict[str, str]] = None) -> ExecResult:
@@ -158,7 +197,7 @@ class DockerRuntime:
         for key, value in (env or {}).items():
             argv += ["-e", f"{key}={value}"]
         argv += [image, "/bin/sh", "-c", script]
-        result = _run_with_timeout(argv, Path(worktree), dict(os.environ), timeout_s)
+        result = _run_with_timeout(argv, Path(worktree), None, timeout_s)
         if result.exit_status == ENGINE_ERROR_STATUS:
             # an engine failure says nothing about the pair; never let it become a verdict
             raise RuntimeUnavailable(f"container engine failed: {result.log_text.strip()}")

@@ -83,28 +83,28 @@ class TestMineFilterPipeline:
             main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
                   "--fixture", str(widgets_root), "--out", str(tmp_path / "verdicts.jsonl")])
         message = str(exc.value.code)
-        assert message.startswith(f"{pairs}, line 3: TypeError")
+        assert message.startswith(f"failpass: {pairs}, line 3: TypeError")
         assert "group_key" in message
         assert not (tmp_path / "verdicts.jsonl").exists()
 
     def test_non_json_line_names_file_and_line(self, widgets_root, catalog_path, tmp_path):
         pairs = self._mined_pairs(widgets_root, tmp_path)
         pairs.write_text(pairs.read_text() + '{"project": \n')
-        with pytest.raises(SystemExit, match=rf"^{re.escape(str(pairs))}, line 3: JSONDecodeError"):
+        with pytest.raises(SystemExit, match=rf"^failpass: {re.escape(str(pairs))}, line 3: JSONDecodeError"):
             main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
                   "--fixture", str(widgets_root), "--out", str(tmp_path / "verdicts.jsonl")])
 
     def test_undecodable_line_names_file_and_line(self, widgets_root, catalog_path, tmp_path):
         pairs = self._mined_pairs(widgets_root, tmp_path)
         pairs.write_bytes(pairs.read_bytes() + b'{"project": "\xff"}\n')
-        with pytest.raises(SystemExit, match=rf"^{re.escape(str(pairs))}, line 3: UnicodeDecodeError"):
+        with pytest.raises(SystemExit, match=rf"^failpass: {re.escape(str(pairs))}, line 3: UnicodeDecodeError"):
             main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path),
                   "--fixture", str(widgets_root), "--out", str(tmp_path / "verdicts.jsonl")])
 
     def test_bad_verdict_line_names_file_and_line(self, widgets_root, tmp_path):
         verdicts = tmp_path / "verdicts.jsonl"
         verdicts.write_text('{"stage_reached": "with_image"}\n')
-        with pytest.raises(SystemExit, match=rf"^{re.escape(str(verdicts))}, line 1: TypeError"):
+        with pytest.raises(SystemExit, match=rf"^failpass: {re.escape(str(verdicts))}, line 1: TypeError"):
             main(["reproduce", "--verdicts", str(verdicts), "--fixture", str(widgets_root),
                   "--out", str(tmp_path / "records.jsonl")])
 

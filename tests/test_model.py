@@ -148,22 +148,43 @@ def test_project_slug_validation():
         Project(slug="a/b", primary_language="")
 
 
-def test_whole_file_writes_go_through_replace_file():
-    """In src, ``os.replace`` is called only inside ``model.replace_file``, and no module calls
-    ``write_text`` or ``write_bytes``, so every whole-file write is atomic and removes its temp file."""
-    os_replace, path_writes = [], []
+def src_nodes():
+    """(file name, name of the enclosing function or None, node) of every AST node in src."""
     for path in sorted(Path(failpass.__file__).parent.rglob("*.py")):
         module = ast.parse(path.read_text())
         parents = {child: node for node in ast.walk(module) for child in ast.iter_child_nodes(node)}
         for node in ast.walk(module):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if node.attr in ("write_text", "write_bytes"):
-                path_writes.append(f"{path.name}:{node.lineno}")
-            elif node.attr == "replace" and isinstance(node.value, ast.Name) and node.value.id == "os":
-                scope = node
-                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
-                    scope = parents[scope]
-                os_replace.append((path.name, getattr(scope, "name", None)))
+            scope = node
+            while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                scope = parents[scope]
+            yield path.name, getattr(scope, "name", None), node
+
+
+def test_whole_file_writes_go_through_replace_file():
+    """In src, ``os.replace`` is called only inside ``model.replace_file``, and no module calls
+    ``write_text`` or ``write_bytes``, so every whole-file write is atomic and removes its temp file."""
+    os_replace, path_writes = [], []
+    for name, scope, node in src_nodes():
+        if not isinstance(node, ast.Attribute):
+            continue
+        if node.attr in ("write_text", "write_bytes"):
+            path_writes.append(f"{name}:{node.lineno}")
+        elif node.attr == "replace" and isinstance(node.value, ast.Name) and node.value.id == "os":
+            os_replace.append((name, scope))
     assert os_replace == [("model.py", "replace_file")]
     assert path_writes == []
+
+
+def test_timed_waits_go_through_run_with_timeout():
+    """Outside ``runtime._run_with_timeout``, no call in src passes ``timeout=`` and no
+    ``communicate`` or ``wait`` call takes a timeout: those waits poll with sleeps once the
+    output has ended, where ``_run_with_timeout`` wakes on the process's exit."""
+    timed = []
+    for name, scope, node in src_nodes():
+        if not isinstance(node, ast.Call) or (name, scope) == ("runtime.py", "_run_with_timeout"):
+            continue
+        # a positional timeout: wait(timeout) or communicate(input, timeout)
+        positional = {"wait": 1, "communicate": 2}.get(getattr(node.func, "attr", None))
+        if (positional and len(node.args) >= positional) or any(kw.arg == "timeout" for kw in node.keywords):
+            timed.append(f"{name}:{node.lineno}")
+    assert timed == []

@@ -2,7 +2,10 @@ import dataclasses
 import errno
 import itertools
 import os
+import selectors
+import shlex
 import shutil
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -227,6 +230,69 @@ class TestRunJob:
         outcome = run_job(generate_job_script({"script": ["ls"]}), "img", tree, 30.0, RUNTIME)
         # the base's b and the trigger's c: the job sees both parents of the merge
         assert "$ ls\na\nb\nc\n" in outcome.log_text
+
+
+def group_is_gone(pgid: int, within_s: float = 5.0) -> bool:
+    """Whether no process is left in group ``pgid`` within ``within_s``.
+
+    A killed orphan is a zombie until init reaps it, and a zombie still
+    answers ``killpg(pgid, 0)``; so this waits a little for the reaping.
+    """
+    deadline = time.monotonic() + within_s
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+
+
+class TestJobRunEndsWithItsShell:
+    def test_background_child_holding_the_output_does_not_make_a_timeout(self, tmp_path):
+        start = time.monotonic()
+        result = RUNTIME.run_script("img", tmp_path, "echo $$; sleep 60 & echo hi; exit 0", 10.0)
+        assert (result.exit_status, result.timed_out) == (0, False)
+        assert time.monotonic() - start < 5
+        assert result.log_text.endswith("hi\n")
+        assert group_is_gone(int(result.log_text.split()[0]))
+
+    def test_detached_child_is_killed_with_the_session(self, tmp_path):
+        result = RUNTIME.run_script("img", tmp_path, "echo $$; sleep 60 >/dev/null 2>&1 & exit 0", 10.0)
+        assert (result.exit_status, result.timed_out) == (0, False)
+        assert group_is_gone(int(result.log_text))
+
+    def test_timeout_keeps_the_partial_log(self, tmp_path):
+        start = time.monotonic()
+        result = RUNTIME.run_script("img", tmp_path, "echo start; sleep 30", 1.0)
+        assert (result.exit_status, result.timed_out, result.log_text) == (KILLED_EXIT_STATUS, True, "start\n")
+        assert 1.0 <= result.wall_time and time.monotonic() - start < 5
+
+    def test_output_larger_than_a_pipe_buffer_comes_back_whole(self, tmp_path):
+        script = "head -c 3000000 /dev/zero | tr '\\0' x; echo; exit 7"
+        result = RUNTIME.run_script("img", tmp_path, script, 30.0)
+        assert (result.exit_status, result.timed_out) == (7, False)
+        assert result.log_text == "x" * 3_000_000 + "\n"
+
+    def test_output_still_in_the_pipe_when_the_shell_exits_is_kept(self, tmp_path, monkeypatch):
+        class LateSelector(selectors.DefaultSelector):
+            """Wakes first only after the job has exited, with its whole output still in the pipe."""
+            slept = False
+
+            def select(self, timeout=None):
+                if not LateSelector.slept:
+                    LateSelector.slept = True
+                    time.sleep(1.0)
+                return super().select(timeout)
+
+        monkeypatch.setattr(selectors, "DefaultSelector", LateSelector)
+        # the job grows its pipe to 1 MiB, so the pipe holds more than one read takes
+        fill = "import fcntl, os; fcntl.fcntl(1, fcntl.F_SETPIPE_SZ, 1 << 20); os.write(1, b'x' * 800000)"
+        result = RUNTIME.run_script("img", tmp_path, "exec " + shlex.join([sys.executable, "-c", fill]), 30.0)
+        assert LateSelector.slept
+        assert (result.exit_status, result.timed_out) == (0, False)
+        assert result.log_text == "x" * 800_000
 
 
 DAEMON_DOWN = "Cannot connect to the Docker daemon at unix:///var/run/docker.sock. Is the docker daemon running?"
