@@ -22,7 +22,7 @@ from .reproducer import (
     stability_protocol,
 )
 from .runtime import default_runtime
-from .store import ArtifactStore, QueryParseError, StoreError, error_frequency_report, stats
+from .store import ArtifactStore, StoreError, error_frequency_report, stats
 
 
 def _write_jsonl(path, records):
@@ -54,7 +54,7 @@ def _read_jsonl(path, decode):
 def _store(args) -> ArtifactStore:
     path = args.store or os.environ.get("FAILPASS_STORE")
     if not path:
-        raise SystemExit("no store configured: pass --store or set FAILPASS_STORE")
+        raise SystemExit("failpass: no store configured: pass --store or set FAILPASS_STORE")
     return ArtifactStore(path)
 
 
@@ -228,8 +228,9 @@ def main(argv=None) -> int:
     try:
         # looked up at call time, so a replaced cmd_* runs even though the parser outlives it
         globals()[f"cmd_{args.command}"](args)
-    except (QueryParseError, ConnectorError, CatalogError) as exc:
-        # errors in what the user gave: a malformed query, a missing fixture or project, a bad catalog
+    except (StoreError, ConnectorError, CatalogError) as exc:
+        # errors in what the user gave: a malformed query, a store line that cannot be read, an unknown
+        # artifact, a missing fixture or project, a bad catalog
         raise SystemExit(f"failpass: {exc}") from None
     return 0
 

@@ -4,9 +4,10 @@ The store is an append-only JSON-lines file under an advisory file lock.
 Beside it, the sidecar ``<store>.idx`` is a derived key directory: every
 queryable scalar of every record, each record's error-tag names, where its
 line lies in the store, and whether that line is already the codec's
-encoding. Queries and statistics run on the sidecar; a query copies the
-lines of its hits and decodes only those that are not the codec's
-encoding. The sidecar is trusted only while its
+encoding. Queries and statistics run on the sidecar and parse only the
+columns they use; a query reads each hit's line once, with one ``pread``,
+and decodes only those lines that are not the codec's encoding. The
+sidecar is trusted only while its
 stamp, the store's (inode, size, mtime_ns), matches; on any mismatch it is
 rebuilt from the store, so deleting it is always safe. A last line without
 a newline that does not parse, as a crash mid-append leaves, is skipped by
@@ -17,10 +18,12 @@ two trees (a modified line is one addition plus one deletion).
 from __future__ import annotations
 
 import bisect
+import collections
 import contextlib
 import dataclasses
 import fcntl
 import functools
+import itertools
 import json
 import operator
 import os
@@ -187,15 +190,15 @@ class StoreIndex:
     ``_line`` gives for its record, so a query may copy it. ``stamp`` is
     the (st_ino, st_size, st_mtime_ns) of the store it describes and
     ``end`` the bytes it covers; a torn last line lies past ``end``.
-    Columns read from a sidecar stay JSON text until first used, so a read
-    parses only the columns it needs.
+    Columns read from a sidecar stay slices of its JSON text until first
+    used, so a read parses only the columns it needs.
     """
 
     def __init__(self, stamp=(), end: int = 0, rows: int = 0, columns: Optional[dict] = None):
         self.stamp = list(stamp)
         self.end = end
         self.rows = rows
-        # field -> its values, or the JSON text of that list until first use
+        # field -> its values, or the JSON text of that list (bytes or a view of the sidecar) until first use
         self._columns = columns if columns is not None else {name: [] for name in _index_fields()}
 
     @classmethod
@@ -208,8 +211,8 @@ class StoreIndex:
 
     def column(self, name: str) -> list:
         values = self._columns[name]
-        if isinstance(values, bytes):
-            values = self._columns[name] = json.loads(values.decode())
+        if not isinstance(values, list):
+            values = self._columns[name] = json.loads(bytes(values))
         return values
 
     def add(self, d: dict, offset: int, length: int, verbatim: bool) -> None:
@@ -222,40 +225,50 @@ class StoreIndex:
             values.append(value)
         values += [list(dict.fromkeys(name for name, _ in d.get("error_tags", ()))), offset, length, verbatim]
         for (name, column), value in zip(self._columns.items(), values):
-            if isinstance(column, bytes):  # extend the JSON text rather than parse it
+            if not isinstance(column, list):  # extend the JSON text rather than parse it
                 sep = b"," if self.rows else b""
-                self._columns[name] = column[:-1] + sep + json.dumps(value).encode() + b"]"
+                self._columns[name] = b"".join((column[:-1], sep, json.dumps(value).encode(), b"]"))
             else:
                 column.append(value)
         self.rows += 1
 
-    def dump(self) -> list[bytes]:
-        """Sidecar lines: a JSON header, one JSON array per field, then the CRC-32 of all before it."""
+    def dump(self) -> list:
+        """Sidecar chunks: a JSON header line, one JSON array line per field, then the CRC-32 of all before it."""
         head = {"version": INDEX_VERSION, "stamp": self.stamp, "end": self.end, "rows": self.rows,
                 "fields": list(self._columns)}
-        lines = [json.dumps(head).encode() + b"\n"]
-        lines += [(c if isinstance(c, bytes) else json.dumps(c, separators=(",", ":")).encode()) + b"\n"
-                  for c in self._columns.values()]
+        chunks = [json.dumps(head).encode() + b"\n"]
+        for c in self._columns.values():
+            chunks += [c if not isinstance(c, list) else json.dumps(c, separators=(",", ":")).encode(), b"\n"]
         crc = 0
-        for line in lines:
-            crc = zlib.crc32(line, crc)
-        return lines + [b"%d\n" % crc]
+        for chunk in chunks:
+            crc = zlib.crc32(chunk, crc)
+        return chunks + [b"%d\n" % crc]
 
     @classmethod
     def parse(cls, data: bytes, stamp: list) -> Optional["StoreIndex"]:
-        """The index in sidecar bytes if they are whole, of this version and for ``stamp``; else None."""
-        lines = data.split(b"\n")
+        """The index in sidecar bytes if they are whole, of this version and for ``stamp``; else None.
+
+        Only the line bounds are found here; each column stays a view of ``data`` until ``column`` parses it.
+        """
+        view = memoryview(data)
         try:
-            covered = len(data) - len(lines[-2]) - 1
-            if lines[-1] or int(lines[-2]) != zlib.crc32(memoryview(data)[:covered]):
+            covered = data.rindex(b"\n", 0, -1) + 1  # where the CRC line starts
+            if data[-1:] != b"\n" or int(data[covered:-1]) != zlib.crc32(view[:covered]):
                 return None
-            h = json.loads(lines[0])
+            start = data.index(b"\n") + 1
+            h = json.loads(data[:start - 1])
             fields = _index_fields()
-            if (h["version"] != INDEX_VERSION or h["stamp"] != stamp or h["fields"] != fields
-                    or len(lines) != len(fields) + 3):
+            if h["version"] != INDEX_VERSION or h["stamp"] != stamp or h["fields"] != fields:
                 return None
-            return cls(stamp, h["end"], h["rows"], dict(zip(fields, lines[1:-2])))
-        except (ValueError, KeyError, TypeError, IndexError):
+            columns = {}
+            for name in fields:
+                end = data.index(b"\n", start)
+                columns[name] = view[start:end]
+                start = end + 1
+            if start != covered:  # more lines than the fields
+                return None
+            return cls(stamp, h["end"], h["rows"], columns)
+        except (ValueError, KeyError, TypeError):
             return None
 
 
@@ -336,18 +349,14 @@ class ArtifactStore:
         except OSError:
             pass  # derived data: the next reader rebuilds it
 
-    def _read(self, fh, index: StoreIndex, row: int) -> bytes:
-        fh.seek(index.column("offset")[row])
-        return fh.read(index.column("length")[row])
-
-    def _decode(self, fh, index: StoreIndex, row: int) -> ArtifactMetadata:
+    def _decode(self, fd: int, index: StoreIndex, row: int) -> ArtifactMetadata:
+        """The record of one row, its line read with one ``pread`` from the store open as ``fd``."""
         offset = index.column("offset")[row]
-        raw = self._read(fh, index, row)
+        raw = os.pread(fd, index.column("length")[row], offset)
         try:
             return ArtifactMetadata.from_dict(json.loads(raw.decode()))
         except (ValueError, TypeError, KeyError) as exc:
-            fh.seek(0)
-            raise self._bad_line(fh.read(offset).count(b"\n") + 1, exc) from None
+            raise self._bad_line(os.pread(fd, offset, 0).count(b"\n") + 1, exc) from None
 
     def load(self) -> list[ArtifactMetadata]:
         """Every record in store order, each line found through the index and decoded."""
@@ -355,7 +364,7 @@ class ArtifactStore:
             if fh is None:
                 return []
             index = self._index(fh)
-            return [self._decode(fh, index, row) for row in range(index.rows)]
+            return [self._decode(fh.fileno(), index, row) for row in range(index.rows)]
 
     def index(self) -> StoreIndex:
         """The store's index, for the statistics functions; empty when there is no store."""
@@ -396,13 +405,14 @@ class ArtifactStore:
                 row = index.column("image_tag").index(image_tag)
             except ValueError:
                 return None
-            return self._decode(fh, index, row)
+            return self._decode(fh.fileno(), index, row)
 
     def query(self, expression: str) -> list[str]:
         """The JSON line of each record matching ``expression``, newline included, in store order.
 
-        The terms run on the index. A hit whose stored line is already the
-        codec's encoding is copied as it is; any other is decoded and
+        The terms run on the index, each over the rows the terms before it
+        kept. A hit whose stored line is already the codec's encoding is
+        copied as it is, with one ``pread``; any other is decoded and
         encoded again. Decode a line with ``ArtifactMetadata.from_dict(json.loads(line))``.
         """
         terms = _parse_terms(expression)
@@ -412,10 +422,10 @@ class ArtifactStore:
             index = self._index(fh)
             rows = range(index.rows)
             for fld, compare, rhs in terms:
-                column = index.column(fld)
-                rows = [i for i in rows if _holds(column[i], compare, rhs)]
-            verbatim = index.column("verbatim")
-            return [self._read(fh, index, i).decode() if verbatim[i] else _line(self._decode(fh, index, i))
+                rows = _select(index.column(fld), rows, compare, rhs)
+            fd = fh.fileno()
+            offset, length, verbatim = index.column("offset"), index.column("length"), index.column("verbatim")
+            return [os.pread(fd, length[i], offset[i]).decode() if verbatim[i] else _line(self._decode(fd, index, i))
                     for i in rows]
 
 
@@ -471,13 +481,14 @@ def _parse_terms(expression: str) -> list[tuple]:
     return terms
 
 
-def _holds(value, compare, rhs) -> bool:
-    """One term on one field value: None never matches, and strings compare lower-cased."""
-    if value is None:
-        return False
-    if isinstance(value, str):
-        value = value.lower()
-    return compare(value, rhs)
+def _select(values: list, rows: Iterable[int], compare, rhs) -> list[int]:
+    """The ``rows`` whose value in ``values`` meets one term, in order.
+
+    The rule of every term: None never matches, a str compares lower-cased,
+    and any other value compares as it is stored.
+    """
+    return [i for i in rows
+            if (v := values[i]) is not None and compare(v.lower() if isinstance(v, str) else v, rhs)]
 
 
 # --- statistics ------------------------------------------------------------
@@ -531,11 +542,8 @@ def error_frequency_report(records: Iterable[ArtifactMetadata] | StoreIndex, lan
     same name counts once.
     """
     index = _as_index(records)
-    freq: dict[str, int] = {}
-    for lang, names in zip(index.column("primary_language"), index.column("error_tags")):
-        if lang.lower() != language.lower():
-            continue
-        for name in names:
-            freq[name] = freq.get(name, 0) + 1
+    # the rows that the query term language=<language> keeps
+    rows = _select(index.column("primary_language"), range(index.rows), operator.eq, language.lower())
+    freq = collections.Counter(itertools.chain.from_iterable(map(index.column("error_tags").__getitem__, rows)))
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top_n]

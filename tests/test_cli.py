@@ -304,8 +304,9 @@ class TestStoreCommands:
 
     def test_missing_store_is_an_error(self, monkeypatch):
         monkeypatch.delenv("FAILPASS_STORE", raising=False)
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["query", "language=Java"])
+        assert exc.value.code == "failpass: no store configured: pass --store or set FAILPASS_STORE"
 
     def test_artifact_fetch_and_cleanup(self, seeded_store, capsys, monkeypatch):
         # the store's image tag is in no registry, so only the local backend can fetch it
@@ -316,10 +317,9 @@ class TestStoreCommands:
         assert main(["artifact", "cleanup", "acme-widgets-11", "--store", str(seeded_store)]) == 0
 
     def test_artifact_unknown_tag(self, seeded_store):
-        from failpass.store import StoreError
-
-        with pytest.raises(StoreError):
+        with pytest.raises(SystemExit) as exc:
             main(["artifact", "fetch", "nope-1", "--store", str(seeded_store)])
+        assert exc.value.code == "failpass: artifact not found: nope-1"
 
 
 @pytest.fixture()

@@ -538,6 +538,7 @@ class TestArtifactTools:
     def test_unknown_tag_raises(self, artifact):
         rt, artifact_cmd = artifact
         for action in ("fetch", "shell", "cleanup"):
-            with pytest.raises(StoreError, match="artifact not found: nope-1"):
+            with pytest.raises(SystemExit) as exc:
                 artifact_cmd(action, "nope-1")
+            assert exc.value.code == "failpass: artifact not found: nope-1"
         assert rt.calls == []

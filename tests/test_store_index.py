@@ -8,7 +8,7 @@ import re
 import zlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from failpass import store as store_mod
 from failpass.cli import main
@@ -450,6 +450,30 @@ class TestTornLastLine:
             two_records.query("language=python")
 
 
+    def test_cli_ends_a_bad_line_in_one_line(self, two_records):
+        two_records.path.write_bytes(b'{"image_tag": "x"}\n' + two_records.path.read_bytes())
+        for argv in (["query", "branch=master"], ["stats", "--metric", "changes"], ["stats", "--errors", "java"],
+                     ["artifact", "fetch", "a-b-1"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--store", str(two_records.path)])
+            assert exc.value.code == f"failpass: {two_records.path}, line 1: KeyError: 'slug'"
+
+
+class TestLanguageThatIsNoString:
+    # a null never matches, under != too; a number is compared as it is stored, so it is != every string
+    @pytest.mark.parametrize("language, not_java", [(None, ["a-b-2"]), (5, ["a-b-2", "a-b-3"])])
+    def test_error_report_keeps_what_the_language_term_keeps(self, two_records, capsys, language, not_java):
+        d = mk_record(tag="a-b-3", error_tags=(("IOError", 1),)).to_dict()
+        d["primary_language"] = language
+        with two_records.path.open("ab") as fh:
+            fh.write((json.dumps(d) + "\n").encode())
+        assert [r.image_tag for r in two_records.load()] == ["a-b-1", "a-b-2", "a-b-3"]
+        for name in ("java", "python"):
+            main(["stats", "--errors", name, "--store", str(two_records.path)])
+        assert capsys.readouterr().out == "NullPointerException\t1\nValueError\t1\n"
+        assert [r.image_tag for r in decode_lines(two_records.query("language!=java"))] == not_java
+
+
 class TestDecodeCount:
     @pytest.fixture()
     def counted(self, tmp_path, monkeypatch):
@@ -530,6 +554,53 @@ class TestDecodeCount:
         assert parsed and not [s for s in parsed
                                if (s.encode() if isinstance(s, str) else bytes(s)).strip() in stored]
 
+    def test_query_reads_its_hits_lines_and_parses_its_columns_only(self, counted, monkeypatch):
+        store, _ = counted
+        data = store.path.read_bytes()
+        bounds, start = [], 0  # (offset, length) of each line
+        for line in data.splitlines(keepends=True):
+            bounds.append((start, len(line)))
+            start += len(line)
+        preads = []
+        pread = os.pread
+        monkeypatch.setattr(os, "pread", lambda fd, n, offset: preads.append((os.fstat(fd).st_ino, offset, n))
+                            or pread(fd, n, offset))
+        indexes = []
+        index = ArtifactStore._index
+        monkeypatch.setattr(ArtifactStore, "_index",
+                            lambda self, fh, save=True: indexes.append(index(self, fh, save)) or indexes[-1])
+        touched = []  # any use of the open store but its descriptor
+
+        class DescriptorOnly:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def fileno(self):
+                return self._fh.fileno()
+
+            def __getattr__(self, name):
+                touched.append(name)
+                return getattr(self._fh, name)
+
+        locked = ArtifactStore._locked
+
+        @contextlib.contextmanager
+        def watched(self, exclusive=False):
+            with locked(self, exclusive) as fh:
+                yield None if fh is None else DescriptorOnly(fh)
+
+        monkeypatch.setattr(ArtifactStore, "_locked", watched)
+        lines = store.query("language=java num_changes>=3")
+        assert [r.image_tag for r in decode_lines(lines)] == ["a-b-3", "a-b-5", "a-b-7"]
+        ino = store.path.stat().st_ino
+        assert preads == [(ino, *bounds[k - 1]) for k in (3, 5, 7)]
+        assert touched == []
+        (used,) = indexes
+        parsed = {name for name, values in used._columns.items() if isinstance(values, list)}
+        assert parsed == {"primary_language", "num_changes", "offset", "length", "verbatim"}
+        assert all(isinstance(values, (bytes, memoryview)) for name, values in used._columns.items()
+                   if name not in parsed)
+
 
 # --- failpass query prints what the codec prints --------------------------------
 
@@ -601,9 +672,115 @@ class TestQueryOutputIsTheCodecs:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 if refused:
-                    where = f"{re.escape(str(path))}, line {refused[0]}: ValueError"
-                    with pytest.raises(StoreError, match=f"^{where}"):
+                    with pytest.raises(SystemExit) as exc:
                         main(["query", expression, "--store", str(path)])
+                    assert exc.value.code == (f"failpass: {path}, line {refused[0]}: "
+                                              "ValueError: successes cannot exceed attempts")
                 else:
                     main(["query", expression, "--store", str(path)])
             assert out.getvalue() == ("" if refused else "".join(want for _, want in hits))
+
+
+# --- a term scan is the per-value rule ------------------------------------------
+
+
+def holds(value, compare, rhs) -> bool:
+    """One term on one field value: None never matches, and strings compare lower-cased."""
+    if value is None:
+        return False
+    if isinstance(value, str):
+        value = value.lower()
+    return compare(value, rhs)
+
+
+def outcome(run):
+    """What ``run()`` returns, or the type of what it raises."""
+    try:
+        return run()
+    except Exception as exc:  # the scan and the rule must raise alike
+        return type(exc)
+
+
+scan_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
+    st.sampled_from(("java", "Java", "JAVA", "python", "Flaky", "12", "2.5", "-1", "")),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+scan_rhs = st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.sampled_from(("java", "python", "12", "flaky", "")))
+
+
+class TestTermScanIsTheRule:
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @example(columns=[["12", None, 3]], terms=[(0, "!=", 5), (0, "<", 5)])  # a str in a number field: TypeError
+    @given(columns=st.integers(0, 10).flatmap(
+               lambda n: st.lists(st.lists(scan_values, min_size=n, max_size=n), min_size=1, max_size=3)),
+           terms=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(sorted(store_mod._OPERATORS)), scan_rhs),
+                          min_size=1, max_size=3))
+    def test_chained_terms_keep_the_rows_the_rule_keeps(self, columns, terms):
+        def run(select):
+            rows = range(len(columns[0]))
+            for k, op, rhs in terms:
+                rows = select(columns[k % len(columns)], rows, store_mod._OPERATORS[op], rhs)
+            return list(rows)
+
+        def by_value(values, rows, compare, rhs):
+            return [i for i in rows if holds(values[i], compare, rhs)]
+
+        assert outcome(lambda: run(store_mod._select)) == outcome(lambda: run(by_value))
+
+
+# --- a sidecar parses whole or not at all --------------------------------------
+
+
+def split_parse(data: bytes, stamp: list):
+    """The columns of ``data``, split at every newline, if it is a whole sidecar of this version for ``stamp``."""
+    lines = data.split(b"\n")
+    try:
+        covered = len(data) - len(lines[-2]) - 1
+        if lines[-1] or int(lines[-2]) != zlib.crc32(data[:covered]):
+            return None
+        h = json.loads(lines[0])
+        fields = store_mod._index_fields()
+        if (h["version"] != store_mod.INDEX_VERSION or h["stamp"] != stamp or h["fields"] != fields
+                or len(lines) != len(fields) + 3):
+            return None
+        return {name: json.loads(line) for name, line in zip(fields, lines[1:-2])}
+    except (ValueError, KeyError, TypeError, IndexError):
+        return None
+
+
+def parsed_columns(data: bytes, stamp: list):
+    index = store_mod.StoreIndex.parse(data, stamp)
+    return None if index is None else {name: index.column(name) for name in store_mod._index_fields()}
+
+
+class TestSidecarParse:
+    @settings(derandomize=True, deadline=None, max_examples=25,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(initial=st.lists(records, min_size=0, max_size=3, unique_by=lambda r: r.image_tag),
+           field=st.sampled_from(SIDECAR_FIELDS), mask=st.integers(1, 255))
+    def test_a_cut_or_flipped_sidecar_parses_to_nothing_or_to_the_original(self, tmp_path_factory, initial,
+                                                                         field, mask):
+        path = tmp_path_factory.mktemp("store") / "store.jsonl"
+        store = ArtifactStore(path)
+        path.touch()
+        for record in initial:
+            store.persist(record)
+        store.index()
+        data = store.index_path.read_bytes()
+        stamp = json.loads(data.partition(b"\n")[0])["stamp"]
+        original = split_parse(data, stamp)
+        assert original is not None and parsed_columns(data, stamp) == original
+        with path.open("rb") as fh:
+            assert original == {name: store._build(fh).column(name) for name in SIDECAR_FIELDS}
+        line_starts = [0, *(k + 1 for k, byte in enumerate(data) if byte == 0x0A)]
+        at = SIDECAR_FIELDS.index(field) + 1
+        flips = [*range(line_starts[1]),  # the header
+                 *range(line_starts[at], line_starts[at + 1]),  # one column, with its newline
+                 *range(line_starts[-2], len(data))]  # the CRC line and the trailing newline
+        mutants = [data[:cut] for cut in range(len(data))]
+        mutants += [data[:k] + bytes([data[k] ^ mask]) + data[k + 1:] for k in flips]
+        for mutant in mutants:
+            got = parsed_columns(mutant, stamp)
+            assert got is None or got == original
+            assert got == split_parse(mutant, stamp)
