@@ -16,7 +16,6 @@ import shutil
 import stat
 import tempfile
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -143,7 +142,8 @@ def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetc
     Push builds clone and reset to the trigger; PR builds recreate the
     phantom merge when both parents are in history; otherwise the
     code-host zip archive is extracted. ``archive_fetch(sha, dest)``
-    returns the extracted content root or None.
+    returns the extracted content root or None; that root is renamed to
+    ``dest``, which must not exist yet.
     """
     if coords.availability is not Availability.AVAILABLE:
         raise ReproductionError("state unrecoverable", "project_specific")
@@ -160,9 +160,7 @@ def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetc
     content_root = archive_fetch(coords.merge_sha or coords.trigger_sha, dest.parent / (dest.name + "-zip"))
     if content_root is None:
         raise ReproductionError("state unrecoverable", "project_specific")
-    dest.mkdir(parents=True, exist_ok=True)
-    for child in content_root.iterdir():
-        shutil.move(str(child), dest / child.name)
+    content_root.rename(dest)
     return WorkTree(root=dest, construction="archive_zip")
 
 
@@ -295,45 +293,47 @@ def _same_tree(pristine: Path, work: Path, listings: dict[str, list]) -> bool:
 
 
 class PairInputs:
-    """What every attempt of one pair shares, prepared once per pair.
+    """What every attempt of one pair needs, decided once per pair.
 
-    The original logs are parsed up front. Each side's pristine tree is built
-    under ``pair_dir`` on the first attempt that needs it; no job runs in it.
-    Jobs run in a working copy per side (``.git`` included, no hardlinks),
-    made on the side's first attempt. Before each later one, ``_same_tree``
-    compares it with the pristine tree: an unchanged copy is reused, and any
-    other is removed and replaced by a fresh one, so a job that edits its
-    tree cannot affect a later attempt. A tree that cannot be built fails
-    the same way every time, so its ``ReproductionError`` is kept as well.
+    Each side gets its original log's attributes, its job script and its
+    pristine tree under ``pair_dir``, in that order, or else the one reason
+    every attempt of the side fails without a run (original log absent,
+    job configuration missing, or the script's or the tree's
+    ``ReproductionError`` reason); nothing is built after that reason. No
+    job runs in a pristine tree. Jobs run in a working copy per side
+    (``.git`` included, no hardlinks), made on the side's first attempt.
+    Before each later one, ``_same_tree`` compares it with the pristine
+    tree: an unchanged copy is reused, and any other is removed and replaced
+    by a fresh one, so a job that edits its tree cannot affect a later attempt.
     """
 
     def __init__(self, pair: JobPair, ctx: ReproductionContext, pair_dir: Path):
-        self.originals = {
-            "fail": ctx.original_attributes(pair.failed_job.job_id),
-            "pass": ctx.original_attributes(pair.passed_job.job_id),
-        }
-        self._pair = pair
-        self._connector = ctx.connector
+        self._ctx = ctx
         self._pair_dir = Path(pair_dir)
-        self._trees: dict[str, WorkTree | ReproductionError] = {}
+        jobs = {"fail": (pair.failed_job, pair.failed_commits), "pass": (pair.passed_job, pair.passed_commits)}
+        self.originals = {side: ctx.original_attributes(job.job_id) for side, (job, _) in jobs.items()}
+        slug = pair.project.slug
+        archive_fetch = lambda sha, d: ctx.connector.fetch_archive_snapshot(slug, sha, d)
+        # side -> (script, pristine tree), or the reason every attempt of the side fails
+        self._sides: dict[str, tuple[str, WorkTree] | str] = {}
+        for side, (job, coords) in jobs.items():
+            config = ctx.raw_configs.get(job.job_id)
+            if self.originals[side] is None:
+                self._sides[side] = "original log absent"
+            elif config is None:
+                self._sides[side] = "job configuration missing"
+            else:
+                try:
+                    self._sides[side] = (generate_job_script(config), revert_project(
+                        coords, ctx.connector.repo_path(slug), archive_fetch, self._pair_dir / side))
+                except ReproductionError as exc:
+                    self._sides[side] = exc.reason
         self._work: dict[str, Path] = {}
         self._listings: dict[str, list] = {}  # pristine directory listings; no job runs in a pristine tree
         self._copies = 0
 
-    def worktree(self, side: str) -> WorkTree:
-        """The side's working copy, equal to its pristine tree; raises ReproductionError if it cannot be built."""
-        if side not in self._trees:
-            coords = self._pair.failed_commits if side == "fail" else self._pair.passed_commits
-            slug = self._pair.project.slug
-            archive_fetch = lambda sha, d: self._connector.fetch_archive_snapshot(slug, sha, d)
-            try:
-                self._trees[side] = revert_project(coords, self._connector.repo_path(slug), archive_fetch,
-                                                   self._pair_dir / side)
-            except ReproductionError as exc:
-                self._trees[side] = exc
-        tree = self._trees[side]
-        if isinstance(tree, ReproductionError):
-            raise ReproductionError(str(tree), tree.reason)
+    def _working_copy(self, side: str, tree: WorkTree) -> WorkTree:
+        """The side's working copy, equal to its pristine tree."""
         work = self._work.get(side)
         if work is not None:
             try:
@@ -349,55 +349,19 @@ class PairInputs:
         self._work[side] = work
         return replace(tree, root=work)
 
-
-@contextmanager
-def pair_inputs(pair: JobPair, ctx: ReproductionContext):
-    """PairInputs whose trees live in a temporary directory removed on exit."""
-    # files a job leaves may not be removable (say, root-owned ones from a container); they stay, the run goes on
-    with tempfile.TemporaryDirectory(prefix="failpass-pair-", ignore_cleanup_errors=True) as pair_dir:
-        yield PairInputs(pair, ctx, Path(pair_dir))
-
-
-def _attempt_side(pair: JobPair, side: str, ctx: ReproductionContext, image: str,
-                  inputs: PairInputs) -> SideResult:
-    job = pair.failed_job if side == "fail" else pair.passed_job
-    original = inputs.originals[side]
-    if original is None:
-        return SideResult(matched=False, reason="original log absent")
-    config = ctx.raw_configs.get(job.job_id)
-    if config is None:
-        return SideResult(matched=False, reason="job configuration missing")
-    try:
-        script = generate_job_script(config)
-    except ReproductionError as exc:
-        return SideResult(matched=False, reason=exc.reason)
-    try:
-        worktree = inputs.worktree(side)
-    except ReproductionError as exc:
-        return SideResult(matched=False, reason=exc.reason)
-    env = {SCRATCH_ENV: str(ctx.scratch_dir)} if ctx.scratch_dir else None
-    outcome = run_job(script, image, worktree, ctx.timeout_s, ctx.runtime, env=env)
-    reproduced = analyzer.analyze(outcome.log_text, ctx.language)
-    matched = analyzer.compare(original, reproduced) and not outcome.timed_out
-    reason = None
-    if not matched:
-        reason = classify_unreproducible(outcome.log_text, timed_out=outcome.timed_out)
-    return SideResult(matched=matched, outcome=outcome, reason=reason)
-
-
-def attempt_pair(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionContext, inputs: PairInputs,
-                 attempt_index: int) -> tuple[SideResult, SideResult]:
-    """One reproduction attempt: both sides in worktrees equal to their pristine trees."""
-    if verdict.image_ref is None:
-        raise ValueError("pair did not reach the with_image stage")
-    image = f"{verdict.image_ref.registry}/{verdict.image_ref.name}:{verdict.image_ref.tag}"
-    fail_result = _attempt_side(pair, "fail", ctx, image, inputs)
-    pass_result = _attempt_side(pair, "pass", ctx, image, inputs)
-    if ctx.log_sink is not None:
-        for side, res in (("fail", fail_result), ("pass", pass_result)):
-            if res.outcome is not None:
-                ctx.log_sink(pair_id(pair), attempt_index, side, res.outcome.log_text)
-    return fail_result, pass_result
+    def attempt(self, side: str, image: str) -> SideResult:
+        """One attempt of one side: unmatched with its reason if blocked, else run, analyze and compare."""
+        prepared = self._sides[side]
+        if isinstance(prepared, str):
+            return SideResult(matched=False, reason=prepared)
+        script, tree = prepared
+        ctx = self._ctx
+        env = {SCRATCH_ENV: str(ctx.scratch_dir)} if ctx.scratch_dir else None
+        outcome = run_job(script, image, self._working_copy(side, tree), ctx.timeout_s, ctx.runtime, env=env)
+        reproduced = analyzer.analyze(outcome.log_text, ctx.language)
+        matched = analyzer.compare(self.originals[side], reproduced) and not outcome.timed_out
+        reason = None if matched else classify_unreproducible(outcome.log_text, timed_out=outcome.timed_out)
+        return SideResult(matched=matched, outcome=outcome, reason=reason)
 
 
 def pair_id(pair: JobPair) -> str:
@@ -428,16 +392,26 @@ def unreproducible_reason(reasons: list[Optional[str]]) -> str:
 
 def stability_protocol(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionContext,
                        n: int = DEFAULT_REPEATS) -> ReproductionRecord:
-    """Repeat the reproduction n times and classify the pair."""
+    """Repeat the reproduction n times, fail side before pass side, and classify the pair."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    ref = verdict.image_ref
+    if ref is None:
+        raise ValueError("pair did not reach the with_image stage")
+    image = f"{ref.registry}/{ref.name}:{ref.tag}"
     attempts: list[tuple[bool, bool]] = []
     mismatch_reasons: list[Optional[str]] = []
-    with pair_inputs(pair, ctx) as inputs:
+    # files a job leaves may not be removable (say, root-owned ones from a container); they stay, the run goes on
+    with tempfile.TemporaryDirectory(prefix="failpass-pair-", ignore_cleanup_errors=True) as pair_dir:
+        inputs = PairInputs(pair, ctx, Path(pair_dir))
         for k in range(n):
-            fail_result, pass_result = attempt_pair(pair, verdict, ctx, inputs, k)
-            attempts.append((fail_result.matched, pass_result.matched))
-            mismatch_reasons += [r.reason for r in (fail_result, pass_result) if not r.matched]
+            results = {side: inputs.attempt(side, image) for side in ("fail", "pass")}
+            if ctx.log_sink is not None:
+                for side, res in results.items():
+                    if res.outcome is not None:
+                        ctx.log_sink(pair_id(pair), k, side, res.outcome.log_text)
+            attempts.append((results["fail"].matched, results["pass"].matched))
+            mismatch_reasons += [r.reason for r in results.values() if not r.matched]
     stability = stability_from_attempts(attempts)
     category = None
     reason = None

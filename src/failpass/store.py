@@ -421,8 +421,11 @@ class ArtifactStore:
                 return []
             index = self._index(fh)
             rows = range(index.rows)
-            for fld, compare, rhs in terms:
-                rows = _select(index.column(fld), rows, compare, rhs)
+            for term, fld, compare, rhs in terms:
+                try:
+                    rows = _select(index.column(fld), rows, compare, rhs)
+                except TypeError as exc:  # a stored value of another type than the field's, say a str in a number
+                    raise StoreError(f"{self.path}: term {term!r}: TypeError: {exc}") from None
             fd = fh.fileno()
             offset, length, verbatim = index.column("offset"), index.column("length"), index.column("verbatim")
             return [os.pread(fd, length[i], offset[i]).decode() if verbatim[i] else _line(self._decode(fd, index, i))
@@ -447,7 +450,7 @@ _OPERATORS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
 
 
 def _parse_terms(expression: str) -> list[tuple]:
-    """(dotted field, comparison, value) per `field OP value` term, checked up front."""
+    """(term text, dotted field, comparison, value) per `field OP value` term, checked up front."""
     terms = []
     pos = 0
     text = expression.strip()
@@ -476,7 +479,7 @@ def _parse_terms(expression: str) -> list[tuple]:
                 raise QueryParseError(f"expected a number, got {raw!r}", pos)
         else:
             raw = raw.lower()
-        terms.append((fld, _OPERATORS[op], raw))
+        terms.append((m.group(0), fld, _OPERATORS[op], raw))
         pos = m.end()
     return terms
 
@@ -512,7 +515,7 @@ def _as_index(records) -> StoreIndex:
 
 
 def stats(records: Iterable[ArtifactMetadata] | StoreIndex, metric: str) -> dict:
-    """Per-bin counts over ``DEFAULT_BINS[metric]`` plus a flagged overflow bucket for out-of-range values."""
+    """Per-bin counts over ``DEFAULT_BINS[metric]`` plus a flagged overflow bucket for values in no bin."""
     if metric not in _METRIC_FIELDS:
         raise ValueError(f"unknown metric: {metric}")
     bins = DEFAULT_BINS[metric]
@@ -521,8 +524,8 @@ def stats(records: Iterable[ArtifactMetadata] | StoreIndex, metric: str) -> dict
     counts = [0] * len(bins)
     overflow = 0
     for value in _as_index(records).column(_METRIC_FIELDS[metric]):
-        # the only bin that can hold value is the last one starting at or below it
-        k = bisect.bisect_right(lows, value) - 1
+        # the only bin that can hold value is the last one starting at or below it; a non-number has none
+        k = bisect.bisect_right(lows, value) - 1 if isinstance(value, (int, float)) else -1
         if k >= 0 and value <= highs[k]:
             counts[k] += 1
         else:

@@ -44,6 +44,14 @@ def seeded_store(tmp_path):
     return path
 
 
+def _append_edited_line(store: Path, **fields) -> None:
+    """Append a copy of the store's first line with a new image tag and ``fields`` set as given."""
+    record = json.loads(store.read_text().splitlines()[0])
+    record.update(image_tag="acme-widgets-31", **fields)
+    with store.open("a") as fh:
+        fh.write(json.dumps(record) + "\n")
+
+
 class TestMineFilterPipeline:
     def test_mine_writes_pairs(self, widgets_root, tmp_path, capsys):
         out = tmp_path / "pairs.jsonl"
@@ -286,6 +294,17 @@ class TestStoreCommands:
         assert out["bins"]["6-20"] == 1
         assert out["bins"]["501-2000"] == 1
 
+    @pytest.mark.parametrize("metric, field, value", [("changes", "num_changes", None),
+                                                       ("files_changed", "num_files_changed", "12")])
+    def test_stats_counts_a_non_number_as_overflow(self, seeded_store, capsys, metric, field, value):
+        main(["stats", "--store", str(seeded_store), "--metric", metric])
+        before = json.loads(capsys.readouterr().out)
+        _append_edited_line(seeded_store, **{field: value})
+        assert main(["stats", "--store", str(seeded_store), "--metric", metric]) == 0
+        after = json.loads(capsys.readouterr().out)
+        assert after["bins"] == before["bins"]
+        assert after["overflow"] == before.get("overflow", 0) + 1
+
     def test_stats_error_report(self, seeded_store, capsys):
         main(["stats", "--store", str(seeded_store), "--errors", "python"])
         assert "ValueError\t1" in capsys.readouterr().out
@@ -451,6 +470,13 @@ class TestUserInputErrors:
                 "reproduce": ["reproduce", "--verdicts", str(path)]}
         message = fails_in_one_line([*argv[command], "--fixture", str(widgets_root)], tmp_path / "out.jsonl")
         assert message == f"failpass: {path}: {reason}"
+
+    def test_range_term_on_a_string_in_a_number_field_names_store_and_term(self, seeded_store):
+        _append_edited_line(seeded_store, num_files_changed="12")
+        with pytest.raises(SystemExit) as exc:
+            main(["query", "num_files_changed>5", "--store", str(seeded_store)])
+        assert exc.value.code == (f"failpass: {seeded_store}: term 'num_files_changed>5': TypeError: "
+                                  "'>' not supported between instances of 'str' and 'int'")
 
     def test_job_log_in_two_projects_names_both(self, e2e_root, catalog_path, tmp_path):
         pairs = tmp_path / "pairs.jsonl"

@@ -9,6 +9,7 @@ import sys
 import tempfile
 import time
 from collections import Counter
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -23,20 +24,19 @@ from failpass.model import (
     JobPair,
     Project,
     RecoverySource,
+    Stage,
     Status,
 )
-from failpass.pairfilter import filter_pairs, load_catalog
+from failpass.pairfilter import FilterVerdict, ImageRef, filter_pairs, load_catalog
 from failpass.reproducer import (
     DEFAULT_REPEATS,
     ReproductionContext,
     ReproductionError,
     ReproductionRecord,
-    attempt_pair,
     classify_reproduced,
     classify_unreproducible,
     generate_job_script,
     pair_id,
-    pair_inputs,
     revert_project,
     run_job,
     stability_from_attempts,
@@ -485,6 +485,11 @@ def _context_for(root, slug, language, tmp_path, scratch=None):
     )
 
 
+def _verdict_with_image(pair):
+    image = ImageRef("quay.io", "ci-python", "2015-01", datetime(2015, 1, 1, tzinfo=timezone.utc), "worker-1")
+    return FilterVerdict(pair, Stage.WITH_IMAGE, image_ref=image)
+
+
 def _mined_verdict(root, slug, language, catalog_path):
     connector = FixtureConnector(root)
     pairs = mine(slug, connector, language)
@@ -500,9 +505,8 @@ class TestEndToEnd:
     def test_java_pair_reproduces(self, e2e_root, catalog_path, tmp_path):
         pair, verdict = _mined_verdict(e2e_root, "acme/javaproj", "java", catalog_path)
         ctx = _context_for(e2e_root, "acme/javaproj", "java", tmp_path)
-        with pair_inputs(pair, ctx) as inputs:
-            fail_result, pass_result = attempt_pair(pair, verdict, ctx, inputs, 0)
-        assert fail_result.matched and pass_result.matched
+        [(fail_matched, pass_matched)] = stability_protocol(pair, verdict, ctx, n=1).attempts
+        assert fail_matched and pass_matched
 
     def test_python_pair_full_protocol(self, e2e_root, catalog_path, tmp_path):
         pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
@@ -536,8 +540,7 @@ class TestEndToEnd:
         before = _git(repo, "rev-parse", "HEAD").stdout
         pair, verdict = _mined_verdict(e2e_root, "acme/javaproj", "java", catalog_path)
         ctx = _context_for(e2e_root, "acme/javaproj", "java", tmp_path)
-        with pair_inputs(pair, ctx) as inputs:
-            attempt_pair(pair, verdict, ctx, inputs, 0)
+        stability_protocol(pair, verdict, ctx, n=1)
         assert _git(repo, "rev-parse", "HEAD").stdout == before
         assert _git(repo, "status", "--porcelain").stdout == ""
 
@@ -586,9 +589,9 @@ def _counting(monkeypatch, owner, name, key):
     calls = Counter()
     real = getattr(owner, name)
 
-    def wrapper(*args):
+    def wrapper(*args, **kwargs):
         calls[key(args)] += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, wrapper)
     return calls
@@ -638,10 +641,37 @@ class TestSharedPairInputs:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
         pair, verdict = _mined_verdict(e2e_root, "acme/javaproj", "java", catalog_path)
         ctx = _context_for(e2e_root, "acme/javaproj", "java", tmp_path)
-        with pair_inputs(pair, ctx) as inputs:
-            fail_result, pass_result = attempt_pair(pair, verdict, ctx, inputs, 0)
-        assert fail_result.matched and pass_result.matched
+        [(fail_matched, pass_matched)] = stability_protocol(pair, verdict, ctx, n=1).attempts
+        assert fail_matched and pass_matched
         assert list(tmp.iterdir()) == []
+
+    def test_each_side_prepared_once_and_a_blocked_side_builds_and_runs_nothing(self, catalog_path, tmp_path,
+                                                                                 monkeypatch):
+        root = tmp_path / "absent-world"
+        _e2e_project(root, "acme/absent", "python", PYTEST_FAIL_BODY, PYTEST_PASS_BODY, (6001, 6002), (601, 602))
+        pair, verdict = _mined_verdict(root, "acme/absent", "python", catalog_path)
+        ctx = _context_for(root, "acme/absent", "python", tmp_path)
+        scripts = _counting(monkeypatch, reproducer, "generate_job_script", lambda a: "script")
+        built = _counting(monkeypatch, reproducer, "revert_project", lambda a: Path(a[3]).name)
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        assert record.attempts == [(True, True)] * 5
+        assert scripts == {"script": 2} and built == {"fail": 1, "pass": 1}
+
+        # the fail side's original log goes away after filtering; a new connector reads the fixture afresh
+        (root / "acme" / "absent" / "logs" / "6001.txt").unlink()
+        ctx = _context_for(root, "acme/absent", "python", tmp_path)
+        scripts.clear()
+        built.clear()
+        runs = _counting(monkeypatch, reproducer, "run_job", lambda a: a[2].root.name)
+        sunk = []
+        ctx.log_sink = lambda pid, attempt, side, text: sunk.append((pid, attempt, side, text))
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        assert record.attempts == [(False, True)] * 5
+        assert (record.stability, record.unreproducibility_reason) == ("unreproducible", "project_specific")
+        assert scripts == {"script": 1} and built == {"pass": 1} and runs == {"pass": 5}
+        assert [(pid, attempt, side) for pid, attempt, side, _ in sunk] == [
+            (pair_id(pair), k, "pass") for k in range(5)]
+        assert all("Done. Your build exited with 0." in text for *_, text in sunk)
 
 
 def _counting_copies(monkeypatch):
@@ -718,7 +748,7 @@ git checkout -q -b job-branch || exit 3
 """
 
 
-def test_git_works_in_every_attempts_working_copy(tmp_path):
+def test_git_works_in_every_attempts_working_copy(tmp_path, monkeypatch):
     root = tmp_path / "git-world"
     repo = root / "acme" / "gitjob" / "repo"
     master = make_repo(repo, [{"a": "1\n"}, {"b": "base\n"}])
@@ -730,17 +760,28 @@ def test_git_works_in_every_attempts_working_copy(tmp_path):
     pair = JobPair(project=Project("acme/gitjob", "python"), failed_build_id=1, passed_build_id=2,
                    failed_job=Job(1, Status.FAILED, "k"), passed_job=Job(2, Status.PASSED, "k"),
                    failed_commits=merge, passed_commits=push, group_key=("master", None))
+    # each side needs an original and a configuration, or it builds no tree
+    write_project(root, "acme/gitjob", [], {1: wrap_original_log("", 1), 2: wrap_original_log("", 0)})
+    command = 'sh -c "$REPORT"'
+    config = {"env": [f"REPORT={GIT_REPORTING_SCRIPT}"], "script": [command]}
     ctx = ReproductionContext(connector=FixtureConnector(root), runtime=RUNTIME, language="python",
-                              raw_configs={})
+                              raw_configs={1: config, 2: config})
     outputs = {"fail": [], "pass": []}
-    with pair_inputs(pair, ctx) as inputs:
-        for _ in range(2):
-            for side in outputs:
-                tree = inputs.worktree(side)
-                assert tree.construction == ("phantom_merge" if side == "fail" else "clone_reset")
-                outcome = run_job(GIT_REPORTING_SCRIPT, "img", tree, 30.0, RUNTIME)
-                assert outcome.exit_status == 0, outcome.log_text
-                outputs[side].append(outcome.log_text)
+    real_run_job = reproducer.run_job
+
+    def run_job_checked(script, image, tree, *args, **kwargs):
+        side = tree.root.name
+        assert tree.construction == ("phantom_merge" if side == "fail" else "clone_reset")
+        outcome = real_run_job(script, image, tree, *args, **kwargs)
+        assert outcome.exit_status == 0, outcome.log_text
+        # the job's own output, between the command's echo and its exit marker
+        head, body = outcome.log_text.split("\n", 1)
+        assert head == f"$ {command}"
+        outputs[side].append(body.split(f'The command "{command}" exited with 0.\n')[0])
+        return outcome
+
+    monkeypatch.setattr(reproducer, "run_job", run_job_checked)
+    stability_protocol(pair, _verdict_with_image(pair), ctx, n=2)
     assert outputs["pass"] == [f"{master[1]} {master[0]}\nstatus end\n"] * 2
     # the merge commit of trigger into base, on each attempt, with nothing changed in the tree
     merge_sha, parents = outputs["fail"][0].split("\n")[0].split(" ", 1)

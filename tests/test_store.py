@@ -467,10 +467,11 @@ class TestStats:
         assert out == {"metric": "changes", **self.first_match(values, DEFAULT_BINS["changes"])}
 
     @pytest.mark.parametrize("value", [None, "5"])
-    def test_value_that_is_no_number_raises(self, value):
+    def test_value_that_is_no_number_overflows(self, value):
         records = [mk_record(tag="a-b-1", changes=3), mk_record(tag="a-b-2", changes=value)]
-        with pytest.raises(TypeError):
-            stats(records, "changes")
+        out = stats(records, "changes")
+        assert out["bins"]["1-5"] == 1 and sum(out["bins"].values()) == 1
+        assert out["overflow"] == 1
 
     @given(st.lists(st.integers(1, 37363), max_size=30))
     @settings(deadline=None)
