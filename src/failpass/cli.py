@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 from . import analyzer
-from .connector import ConnectorError, make_connector
+from .connector import CloneScope, ConnectorError, make_connector
 from .miner import mine
 from .model import JobPair, parse_timestamp, replace_file
 from .pairfilter import DEFAULT_DOCKER_CUTOFF, CatalogError, FilterVerdict, filter_pairs, load_catalog
@@ -93,27 +93,30 @@ def cmd_reproduce(args):
 
     records = []
     raw_configs: dict[str, dict[int, dict]] = {}  # slug -> job_id -> raw config
-    for v in verdicts:
-        if v.image_ref is None:
-            continue
-        slug = v.pair.project.slug
-        if slug not in raw_configs:
-            raw_configs[slug] = {
-                j["job_id"]: j["config"]
-                for r in connector.fetch_raw_records(slug)
-                for j in r.get("jobs", [])
-            }
-        with tempfile.TemporaryDirectory(prefix="failpass-scratch-", ignore_cleanup_errors=True) as scratch:
-            ctx = ReproductionContext(
-                connector=connector,
-                runtime=runtime,
-                language=v.pair.project.primary_language,
-                raw_configs=raw_configs[slug],
-                scratch_dir=Path(scratch),
-                timeout_s=args.timeout_s,
-                log_sink=log_sink,
-            )
-            records.append(stability_protocol(v.pair, v, ctx, n=args.repeats))
+    # one clone per repository for the whole command; each tree gets a copy of its .git
+    with CloneScope() as clones:
+        for v in verdicts:
+            if v.image_ref is None:
+                continue
+            slug = v.pair.project.slug
+            if slug not in raw_configs:
+                raw_configs[slug] = {
+                    j["job_id"]: j["config"]
+                    for r in connector.fetch_raw_records(slug)
+                    for j in r.get("jobs", [])
+                }
+            with tempfile.TemporaryDirectory(prefix="failpass-scratch-", ignore_cleanup_errors=True) as scratch:
+                ctx = ReproductionContext(
+                    connector=connector,
+                    runtime=runtime,
+                    language=v.pair.project.primary_language,
+                    raw_configs=raw_configs[slug],
+                    scratch_dir=Path(scratch),
+                    timeout_s=args.timeout_s,
+                    log_sink=log_sink,
+                    clones=clones,
+                )
+                records.append(stability_protocol(v.pair, v, ctx, n=args.repeats))
     _write_jsonl(args.out, [r.to_dict() for r in records])
     for r in records:
         print(f"{r.pair_id}: {r.stability}" + (f" ({r.category})" if r.category else ""), file=sys.stderr)

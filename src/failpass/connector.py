@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
+import tempfile
 import zipfile
 from pathlib import Path
 from typing import Optional
@@ -149,13 +151,21 @@ def extract_archive(zpath: Path, dest: os.PathLike) -> Path:
 # --- git helpers -----------------------------------------------------------
 
 
-def _git(repo: os.PathLike, *args: str, check: bool = True) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        ["git", "-C", str(repo), *args],
-        capture_output=True,
-        text=True,
-        check=check,
-    )
+def _run_git(argv: list[str], env: Optional[dict[str, str]] = None) -> subprocess.CompletedProcess:
+    """Run one git command; a failure raises ConnectorError with the command and git's stderr (or stdout)."""
+    result = subprocess.run(argv, capture_output=True, text=True, env=env)
+    if result.returncode != 0:
+        output = (result.stderr or result.stdout).strip()
+        raise ConnectorError(f"{shlex.join(argv)} exited with {result.returncode}: {output}")
+    return result
+
+
+def _git(repo: os.PathLike, *args: str, check: bool = True,
+         env: Optional[dict[str, str]] = None) -> subprocess.CompletedProcess:
+    argv = ["git", "-C", str(repo), *args]
+    if check:
+        return _run_git(argv, env)
+    return subprocess.run(argv, capture_output=True, text=True, env=env)
 
 
 def commit_exists(repo, sha: str) -> bool:
@@ -235,38 +245,87 @@ class CommitProbe:
         proc.wait()
 
 
-def clone_at(repo: os.PathLike, sha: str, dest: os.PathLike) -> Path:
+class CloneScope:
+    """The one ``--no-checkout`` clone of each repository that ``clone_at`` was given this scope for.
+
+    Each clone is made on its repository's first use, in one
+    ``failpass-clones-*`` temporary directory that ``close`` (or the end of
+    a ``with`` block) removes. A tree built from the scope holds no path
+    into that directory, so it outlives the scope.
+    """
+
+    def __init__(self):
+        self._dir = tempfile.TemporaryDirectory(prefix="failpass-clones-", ignore_cleanup_errors=True)
+        self._clones: dict[str, Path] = {}
+
+    def __enter__(self) -> CloneScope:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._dir.cleanup()
+
+    def git_dir(self, repo: os.PathLike) -> Path:
+        """The ``.git`` of the scope's clone of ``repo``, cloned now if this is the repository's first use."""
+        key = os.fspath(repo)
+        clone = self._clones.get(key)
+        if clone is None:
+            clone = Path(self._dir.name) / str(len(self._clones))
+            _clone(repo, clone)
+            self._clones[key] = clone
+        return clone / ".git"
+
+
+def _clone(repo: os.PathLike, dest: Path) -> None:
+    _run_git(["git", "clone", "--quiet", "--template=", "--shared", "--no-checkout",
+              "--config", "core.logAllRefUpdates=false", str(repo), str(dest)])
+
+
+def clone_at(repo: os.PathLike, sha: str, dest: os.PathLike, clones: Optional[CloneScope] = None) -> Path:
     """Clone a local repository and check out sha.
 
     The clone borrows the source's object store (``--shared`` writes
     ``.git/objects/info/alternates``), so it copies no object and every
     object of the source stays reachable, commits no ref reaches included.
     ``--no-checkout`` writes only sha's files, once. The empty template
-    leaves out git's inactive sample hooks. What remains is what each
-    working copy of the tree copies, compares and removes; the clone's
-    config turns off reflogs, which nothing reads, for every git command in it.
+    leaves out git's inactive sample hooks, and the clone's config turns off
+    reflogs, which nothing reads, for every git command in it. With
+    ``clones`` the clone is made once per repository and ``dest`` gets a copy
+    of its ``.git``, which holds the same files. A failed git command or
+    copy raises ConnectorError.
     """
     dest = Path(dest)
-    subprocess.run(["git", "clone", "--quiet", "--template=", "--shared", "--no-checkout",
-                    "--config", "core.logAllRefUpdates=false", str(repo), str(dest)],
-                   capture_output=True, text=True, check=True)
+    if clones is None:
+        _clone(repo, dest)
+    else:
+        try:
+            shutil.copytree(clones.git_dir(repo), dest / ".git", symlinks=True)
+        except OSError as exc:
+            raise ConnectorError(f"copying the clone of {repo} to {dest}: {exc}") from exc
     _git(dest, "checkout", "--quiet", sha)
     return dest
 
 
-def merge_tree(repo: os.PathLike, base_sha: str, trigger_sha: str, dest: os.PathLike) -> Path:
-    """Recreate a service-style temporary merge of trigger into base."""
-    dest = clone_at(repo, base_sha, dest)
-    result = _git(
-        dest,
-        "-c", "user.email=failpass@localhost", "-c", "user.name=failpass",
-        "merge", "--no-ff", "--no-edit", "-m", f"Merge {trigger_sha} into {base_sha}",
-        trigger_sha,
-        check=False,
-    )
-    if result.returncode != 0:
+def merge_tree(repo: os.PathLike, base_sha: str, trigger_sha: str, dest: os.PathLike,
+               clones: Optional[CloneScope] = None) -> Path:
+    """Recreate a service-style temporary merge of trigger into base.
+
+    The merge commit's author and committer dates are the trigger's
+    committer date, so every build of the same coordinates gives the same
+    commit. The merge starts no background maintenance. A failed git
+    command, a conflict included, raises ConnectorError and removes ``dest``.
+    """
+    dest = clone_at(repo, base_sha, dest, clones)
+    try:
+        date = _git(dest, "show", "-s", "--format=%cd", "--date=raw", f"{trigger_sha}^{{commit}}").stdout.strip()
+        _git(dest, "-c", "user.email=failpass@localhost", "-c", "user.name=failpass", "-c", "maintenance.auto=false",
+             "merge", "--no-ff", "--no-edit", "-m", f"Merge {trigger_sha} into {base_sha}", trigger_sha,
+             env={**os.environ, "GIT_AUTHOR_DATE": date, "GIT_COMMITTER_DATE": date})
+    except ConnectorError:
         shutil.rmtree(dest, ignore_errors=True)
-        raise ConnectorError(f"merge conflict recreating merge of {trigger_sha} into {base_sha}")
+        raise
     return dest
 
 

@@ -16,12 +16,12 @@ import shutil
 import stat
 import tempfile
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import analyzer
-from .connector import ConnectorError, clone_at, merge_tree
+from .connector import CloneScope, ConnectorError, clone_at, merge_tree
 from .model import Availability, CommitCoordinates, JobPair, RecoverySource, json_record
 from .pairfilter import FilterVerdict
 from .runtime import SCRATCH_ENV, ExecResult
@@ -136,26 +136,29 @@ def generate_job_script(config: dict) -> str:
     return script
 
 
-def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetch, dest: Path) -> WorkTree:
+def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetch, dest: Path,
+                   clones: Optional[CloneScope] = None) -> WorkTree:
     """Materialize the tree the CI job saw.
 
     Push builds clone and reset to the trigger; PR builds recreate the
     phantom merge when both parents are in history; otherwise the
     code-host zip archive is extracted. ``archive_fetch(sha, dest)``
     returns the extracted content root or None; that root is renamed to
-    ``dest``, which must not exist yet.
+    ``dest``, which must not exist yet. A git-built tree is checked out
+    from ``clones``' clone of ``repo`` when given (see ``clone_at``). A git
+    command that fails, or an archive that cannot be read, raises
+    ConnectorError.
     """
     if coords.availability is not Availability.AVAILABLE:
         raise ReproductionError("state unrecoverable", "project_specific")
     dest = Path(dest)
     if coords.recovery_source is RecoverySource.GIT_HISTORY:
+        if repo is None:
+            raise ReproductionError("repository clone missing", "project_specific")
         if coords.base_sha is None:
-            clone_at(repo, coords.trigger_sha, dest)
+            clone_at(repo, coords.trigger_sha, dest, clones)
             return WorkTree(root=dest, construction="clone_reset")
-        try:
-            merge_tree(repo, coords.base_sha, coords.trigger_sha, dest)
-        except ConnectorError as exc:
-            raise ReproductionError(str(exc), "project_specific") from exc
+        merge_tree(repo, coords.base_sha, coords.trigger_sha, dest, clones)
         return WorkTree(root=dest, construction="phantom_merge")
     content_root = archive_fetch(coords.merge_sha or coords.trigger_sha, dest.parent / (dest.name + "-zip"))
     if content_root is None:
@@ -218,6 +221,7 @@ class ReproductionContext:
     scratch_dir: Optional[Path] = None
     timeout_s: float = DEFAULT_TIMEOUT_S
     log_sink: Optional[object] = None  # callable(pair_id, attempt, side, text)
+    clones: Optional[CloneScope] = None  # one clone per repository for git-built trees; without it each is a clone
 
     def original_attributes(self, job_id: int) -> Optional[analyzer.LogAttributes]:
         text = self.connector.fetch_job_log(job_id)
@@ -226,97 +230,94 @@ class ReproductionContext:
         return analyzer.analyze(text, self.language)
 
 
-_COMPARE_CHUNK = 1 << 16
+def _digest(path: str) -> bytes:
+    """BLAKE2b of a file's bytes."""
+    import hashlib  # here, not at the top: loading it adds a few ms to the start of every command
 
-
-def _same_bytes(a: str, b: str) -> bool:
-    fa = os.open(a, os.O_RDONLY)
+    fd = os.open(path, os.O_RDONLY)
     try:
-        fb = os.open(b, os.O_RDONLY)
-        try:
-            while True:
-                chunk = os.read(fa, _COMPARE_CHUNK)
-                if chunk != os.read(fb, _COMPARE_CHUNK):
-                    return False
-                if not chunk:
-                    return True
-        finally:
-            os.close(fb)
+        digest = hashlib.blake2b()
+        while chunk := os.read(fd, 1 << 16):
+            digest.update(chunk)
+        return digest.digest()
     finally:
-        os.close(fa)
+        os.close(fd)
 
 
-def _listing(path: str, listings: dict[str, list]) -> list[tuple[str, str, os.stat_result]]:
-    """(name, path, lstat) of each entry of a pristine directory, read on the first call only."""
-    entries = listings.get(path)
-    if entries is None:
-        with os.scandir(path) as it:
-            entries = listings[path] = [(e.name, e.path, e.stat(follow_symlinks=False)) for e in it]
-    return entries
+def tree_fingerprint(root: Path) -> dict[str, tuple]:
+    """One entry per path under ``root``, keyed by its path in the tree, the root's own (``.``) included.
 
-
-def _same_tree(pristine: Path, work: Path, listings: dict[str, list]) -> bool:
-    """True exactly when ``work`` holds what ``copytree(pristine, symlinks=True)`` would make.
-
-    Entry names, types, permission bits, mtimes and link targets must be
-    equal, the root's own included, and every regular file must have one
-    link and the same bytes, compared in full: size and mtime alone would miss
-    an edit of the same size within one timestamp tick, and a hard-linked file
-    may share its inode with a file outside the tree. Nothing is followed
-    through a symlink and nothing is written; the walk stops at the first
-    difference. Raises OSError when ``work`` cannot be read.
-
-    ``listings`` keeps the pristine tree's directory listings from one call
-    to the next; it is valid only while nothing changes the pristine tree.
+    An entry holds the type and permission bits, the owner, the mtime and
+    the link count, and the target of a symlink or a BLAKE2 digest of a
+    regular file's bytes: size and mtime alone would miss an edit of the
+    same size within one timestamp tick, and a link count above one shows a
+    file that shares its inode with one outside the tree. Nothing is
+    followed through a symlink and nothing is written. Raises OSError when
+    an entry cannot be read.
     """
-    src, dst = os.fspath(pristine), os.fspath(work)
-    pending = [(src, os.lstat(src), dst, os.lstat(dst))]
+    st = os.lstat(root)
+    prints = {".": (st.st_mode, st.st_uid, st.st_gid, st.st_mtime_ns, st.st_nlink, None)}
+    pending = [(os.fspath(root), "")] if stat.S_ISDIR(st.st_mode) else []  # (path, its key's prefix)
     while pending:
-        src, src_st, dst, dst_st = pending.pop()
-        if src_st.st_mode != dst_st.st_mode or src_st.st_mtime_ns != dst_st.st_mtime_ns:
-            return False
-        if stat.S_ISDIR(src_st.st_mode):
-            entries = _listing(src, listings)
-            with os.scandir(dst) as it:
-                have = {e.name: e for e in it}
-            if len(have) != len(entries) or any(name not in have for name, _, _ in entries):
-                return False
-            pending += [(path, st, have[name].path, have[name].stat(follow_symlinks=False))
-                        for name, path, st in entries]
-        elif stat.S_ISLNK(src_st.st_mode):
-            if os.readlink(src) != os.readlink(dst):
-                return False
-        elif not (stat.S_ISREG(src_st.st_mode) and dst_st.st_nlink == 1 and dst_st.st_size == src_st.st_size
-                  and _same_bytes(src, dst)):
-            return False
-    return True
+        path, prefix = pending.pop()
+        with os.scandir(path) as it:
+            for entry in it:
+                st = entry.stat(follow_symlinks=False)
+                key, detail = prefix + entry.name, None
+                if stat.S_ISDIR(st.st_mode):
+                    pending.append((entry.path, key + "/"))
+                elif stat.S_ISLNK(st.st_mode):
+                    detail = os.readlink(entry.path)
+                elif stat.S_ISREG(st.st_mode):
+                    detail = _digest(entry.path)
+                prints[key] = (st.st_mode, st.st_uid, st.st_gid, st.st_mtime_ns, st.st_nlink, detail)
+    return prints
+
+
+@dataclass
+class _Side:
+    """A side that runs: its job script, its commits, its tree and the tree's fingerprint (None if unreadable)."""
+
+    script: str
+    coords: CommitCoordinates
+    tree: Optional[WorkTree] = None
+    fingerprint: Optional[dict] = None
+    ran: bool = False  # a job has run in ``tree``
 
 
 class PairInputs:
     """What every attempt of one pair needs, decided once per pair.
 
     Each side gets its original log's attributes, its job script and its
-    pristine tree under ``pair_dir``, in that order, or else the one reason
-    every attempt of the side fails without a run (original log absent,
-    job configuration missing, or the script's or the tree's
-    ``ReproductionError`` reason); nothing is built after that reason. No
-    job runs in a pristine tree. Jobs run in a working copy per side
-    (``.git`` included, no hardlinks), made on the side's first attempt.
-    Before each later one, ``_same_tree`` compares it with the pristine
-    tree: an unchanged copy is reused, and any other is removed and replaced
-    by a fresh one, so a job that edits its tree cannot affect a later attempt.
+    tree under ``pair_dir``, in that order, or else the one reason every
+    attempt of the side fails without a run: original log absent, job
+    configuration missing, the script's or the tree's ``ReproductionError``
+    reason, or the message of a ``ConnectorError`` raised while the side's
+    original log is read or its tree is built. Nothing is built after that
+    reason. Jobs run in the tree as built. Its fingerprint is taken right
+    after the build, and before each later attempt the tree is checked
+    against it: a tree that differs, or cannot be read, is removed and built
+    again, so a job that edits its tree cannot affect a later attempt. A
+    rebuild that fails gives the side its reason from then on.
     """
 
     def __init__(self, pair: JobPair, ctx: ReproductionContext, pair_dir: Path):
         self._ctx = ctx
         self._pair_dir = Path(pair_dir)
+        self._slug = pair.project.slug
         jobs = {"fail": (pair.failed_job, pair.failed_commits), "pass": (pair.passed_job, pair.passed_commits)}
-        self.originals = {side: ctx.original_attributes(job.job_id) for side, (job, _) in jobs.items()}
-        slug = pair.project.slug
-        archive_fetch = lambda sha, d: ctx.connector.fetch_archive_snapshot(slug, sha, d)
-        # side -> (script, pristine tree), or the reason every attempt of the side fails
-        self._sides: dict[str, tuple[str, WorkTree] | str] = {}
+        self.originals: dict[str, Optional[analyzer.LogAttributes]] = {}
+        # side -> what its attempts run with, or the reason every attempt of the side fails
+        self._sides: dict[str, _Side | str] = {}
+        for side, (job, _) in jobs.items():
+            try:
+                self.originals[side] = ctx.original_attributes(job.job_id)
+            except ConnectorError as exc:
+                self.originals[side], self._sides[side] = None, str(exc)
+        self._rebuilds = 0
         for side, (job, coords) in jobs.items():
+            if side in self._sides:  # its original log could not be read
+                continue
             config = ctx.raw_configs.get(job.job_id)
             if self.originals[side] is None:
                 self._sides[side] = "original log absent"
@@ -324,40 +325,61 @@ class PairInputs:
                 self._sides[side] = "job configuration missing"
             else:
                 try:
-                    self._sides[side] = (generate_job_script(config), revert_project(
-                        coords, ctx.connector.repo_path(slug), archive_fetch, self._pair_dir / side))
+                    prepared = _Side(generate_job_script(config), coords)
                 except ReproductionError as exc:
                     self._sides[side] = exc.reason
-        self._work: dict[str, Path] = {}
-        self._listings: dict[str, list] = {}  # pristine directory listings; no job runs in a pristine tree
-        self._copies = 0
+                else:
+                    self._sides[side] = prepared
+                    self._build(side, prepared)
 
-    def _working_copy(self, side: str, tree: WorkTree) -> WorkTree:
-        """The side's working copy, equal to its pristine tree."""
-        work = self._work.get(side)
-        if work is not None:
+    def _build(self, side: str, prepared: _Side) -> None:
+        """Build the side's tree into a new directory named ``side`` and take its fingerprint, or block the side."""
+        ctx = self._ctx
+        parent = self._pair_dir
+        if prepared.tree is not None:  # a rebuild
+            self._rebuilds += 1
+            parent = self._pair_dir / f"rebuild-{self._rebuilds}"
+        archive_fetch = lambda sha, d: ctx.connector.fetch_archive_snapshot(self._slug, sha, d)
+        try:
+            prepared.tree = revert_project(prepared.coords, ctx.connector.repo_path(self._slug), archive_fetch,
+                                           parent / side, clones=ctx.clones)
+        except ReproductionError as exc:
+            self._sides[side] = exc.reason
+            return
+        except ConnectorError as exc:
+            self._sides[side] = str(exc)
+            return
+        try:
+            prepared.fingerprint = tree_fingerprint(prepared.tree.root)
+        except OSError:
+            prepared.fingerprint = None
+
+    def _tree(self, side: str, prepared: _Side) -> Optional[WorkTree]:
+        """The tree for the side's next job; once a job ran in it, rebuilt unless it still has its fingerprint.
+
+        None when the rebuild failed and blocked the side.
+        """
+        if prepared.ran:
             try:
-                if _same_tree(tree.root, work, self._listings):
-                    return replace(tree, root=work)
+                same = prepared.fingerprint == tree_fingerprint(prepared.tree.root)
             except OSError:
-                pass
-            shutil.rmtree(work, ignore_errors=True)
-        # a new directory each time: an abandoned copy may hold files that cannot be removed
-        self._copies += 1
-        work = self._pair_dir / f"work-{self._copies}" / side
-        shutil.copytree(tree.root, work, symlinks=True)
-        self._work[side] = work
-        return replace(tree, root=work)
+                same = False
+            if not same:
+                # a new directory: an abandoned tree may hold files that cannot be removed
+                shutil.rmtree(prepared.tree.root, ignore_errors=True)
+                self._build(side, prepared)
+        prepared.ran = True
+        return None if isinstance(self._sides[side], str) else prepared.tree
 
     def attempt(self, side: str, image: str) -> SideResult:
         """One attempt of one side: unmatched with its reason if blocked, else run, analyze and compare."""
         prepared = self._sides[side]
-        if isinstance(prepared, str):
-            return SideResult(matched=False, reason=prepared)
-        script, tree = prepared
+        tree = None if isinstance(prepared, str) else self._tree(side, prepared)
+        if tree is None:
+            return SideResult(matched=False, reason=self._sides[side])
         ctx = self._ctx
         env = {SCRATCH_ENV: str(ctx.scratch_dir)} if ctx.scratch_dir else None
-        outcome = run_job(script, image, self._working_copy(side, tree), ctx.timeout_s, ctx.runtime, env=env)
+        outcome = run_job(prepared.script, image, tree, ctx.timeout_s, ctx.runtime, env=env)
         reproduced = analyzer.analyze(outcome.log_text, ctx.language)
         matched = analyzer.compare(self.originals[side], reproduced) and not outcome.timed_out
         reason = None if matched else classify_unreproducible(outcome.log_text, timed_out=outcome.timed_out)

@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
-# the program's temp directories: each pair's trees, each pair's job scratch space, and the
-# per-attempt trees it made before one working copy per side was reset in place instead
-PROGRAM_TEMP_PREFIXES = ("failpass-pair-", "failpass-attempt-", "failpass-scratch-")
+# the program's temp directories: each pair's trees, each pair's job scratch space, the clones of a
+# clone scope, and the per-attempt trees it made before each side's tree was built once
+PROGRAM_TEMP_PREFIXES = ("failpass-pair-", "failpass-attempt-", "failpass-scratch-", "failpass-clones-")
 
 
 @pytest.fixture(autouse=True)
@@ -30,6 +30,30 @@ def no_leaked_temp_dirs():
     leaked = sorted(present() - before)
     if leaked:
         pytest.fail(f"left behind in {tmp}: {leaked}")
+
+
+def record_git_commands(monkeypatch) -> list[list[str]]:
+    """The argv of every git command started from now on, in order.
+
+    ``subprocess.run`` starts its process through ``subprocess.Popen``, so
+    replacing ``Popen`` sees the commands of both.
+    """
+    started = []
+    real = subprocess.Popen
+
+    class Recording(real):
+        def __init__(self, args, *rest, **kwargs):
+            if isinstance(args, (list, tuple)) and args and args[0] == "git":
+                started.append([str(a) for a in args])
+            super().__init__(args, *rest, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return started
+
+
+def git_clones(commands: list[list[str]]) -> list[list[str]]:
+    return [argv for argv in commands if argv[1] == "clone"]
+
 
 WORKER = "worker-garnet-1512502259"
 LOG_TS = "2017-03-01T12:00:00Z"

@@ -19,8 +19,10 @@ from conftest import (
     PYTEST_FAIL_BODY,
     PYTEST_PASS_BODY,
     build_record,
+    git_clones,
     job_record,
     make_repo,
+    record_git_commands,
     wrap_original_log,
     write_project,
 )
@@ -247,6 +249,27 @@ def test_reproduce_never_writes_to_the_fixture_repo(catalog_path, tmp_path, monk
     # every git command of every job succeeded, in trees that borrow the fixture repo's objects
     assert [r["attempts"] for r in read_jsonl(records)] == [[[True, True], [True, True]]]
     assert tree_snapshot(repo) == before
+
+
+def test_reproduce_clones_each_repository_once(e2e_root, catalog_path, tmp_path, monkeypatch):
+    monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
+    slugs = ("acme/javaproj", "acme/pyproj", "acme/flaky")
+    verdicts, records = tmp_path / "verdicts.jsonl", tmp_path / "records.jsonl"
+    for k, slug in enumerate(slugs):
+        pairs, part = tmp_path / f"pairs-{k}.jsonl", tmp_path / f"verdicts-{k}.jsonl"
+        main(["mine", slug, "--fixture", str(e2e_root), "--out", str(pairs)])
+        main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path), "--fixture", str(e2e_root),
+              "--out", str(part)])
+        with verdicts.open("a") as fh:
+            fh.write(part.read_text())
+    commands = record_git_commands(monkeypatch)
+    rc = main(["reproduce", "--verdicts", str(verdicts), "--fixture", str(e2e_root), "--repeats", "3",
+               "--timeout-s", "60", "--out", str(records), "--output-dir", str(tmp_path / "output")])
+    assert rc == 0
+    assert [r["stability"] for r in read_jsonl(records)] == ["reproducible"] * 2 + ["flaky"]
+    # six trees, one per pair side, from one clone per repository
+    assert sorted(argv[-2] for argv in git_clones(commands)) == sorted(str(e2e_root / s / "repo") for s in slugs)
+    assert len([argv for argv in commands if argv[3:4] == ["checkout"]]) == 6
 
 
 class TestWriteJsonl:

@@ -674,42 +674,29 @@ class TestSharedPairInputs:
         assert all("Done. Your build exited with 0." in text for *_, text in sunk)
 
 
-def _counting_copies(monkeypatch):
-    """Replace shutil.copytree with a wrapper that counts copies of a pristine tree by its side."""
-    calls = Counter()
-    real = shutil.copytree
-
-    def wrapper(src, dst, *args, **kwargs):
-        # copytree calls itself for each subdirectory; a pristine tree sits right in the pair directory
-        if Path(src).parent.name.startswith("failpass-pair-"):
-            calls[Path(src).name] += 1
-        return real(src, dst, *args, **kwargs)
-
-    monkeypatch.setattr(shutil, "copytree", wrapper)
-    return calls
-
-
 class TestWorkingCopies:
+    """Jobs run in the tree as built; a tree a job changed is rebuilt before the next attempt."""
+
     def test_one_copy_per_side(self, e2e_root, catalog_path, tmp_path, monkeypatch):
-        # the job leaves its tree alone, so each check finds the copy unchanged
-        copies = _counting_copies(monkeypatch)
+        # the job leaves its tree alone, so each check finds the tree unchanged
+        built = _counting(monkeypatch, reproducer, "revert_project", lambda a: Path(a[3]).name)
         pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
         ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
         record = stability_protocol(pair, verdict, ctx, n=5)
         assert record.attempts == [(True, True)] * 5
-        assert copies == {"fail": 1, "pass": 1}
+        assert built == {"fail": 1, "pass": 1}
 
     def test_an_edited_copy_is_replaced(self, edit_root, catalog_path, tmp_path, monkeypatch):
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
-        copies = _counting_copies(monkeypatch)
+        built = _counting(monkeypatch, reproducer, "revert_project", lambda a: Path(a[3]).name)
         pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
         ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
         record = stability_protocol(pair, verdict, ctx, n=5)
         assert record.stability == "reproducible"
         assert record.attempts == [(True, True)] * 5
-        assert copies == {"fail": 5, "pass": 5}
+        assert built == {"fail": 5, "pass": 5}
         assert list(tmp.iterdir()) == []
 
     def test_failed_restore_falls_back_to_a_fresh_copy(self, e2e_root, catalog_path, tmp_path, monkeypatch):
@@ -719,22 +706,24 @@ class TestWorkingCopies:
         pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
         ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
         clean = stability_protocol(pair, verdict, ctx, n=5)
-        copies = _counting_copies(monkeypatch)
-        real = reproducer._same_tree
+        built = _counting(monkeypatch, reproducer, "revert_project", lambda a: Path(a[3]).name)
+        runs = _counting(monkeypatch, reproducer, "run_job", lambda a: a[2].root.name)
+        real = reproducer.tree_fingerprint
         failed = []
 
-        def check_failing_once(pristine, work, listings):
-            if failed:
-                return real(pristine, work, listings)
-            failed.append(Path(work).name)
-            raise PermissionError(errno.EACCES, "Permission denied", str(work))
+        def check_failing_once(root):
+            # the first fingerprint taken after a job ran is a check before a later attempt
+            if failed or not runs:
+                return real(root)
+            failed.append(Path(root).name)
+            raise PermissionError(errno.EACCES, "Permission denied", str(root))
 
-        monkeypatch.setattr(reproducer, "_same_tree", check_failing_once)
+        monkeypatch.setattr(reproducer, "tree_fingerprint", check_failing_once)
         faulted = stability_protocol(pair, verdict, ctx, n=5)
         assert faulted == clean
         assert clean.attempts == [(True, True)] * 5
         (side,) = failed
-        assert copies[side] == 2 and sum(copies.values()) == 3
+        assert built[side] == 2 and sum(built.values()) == 3
         assert list(tmp.iterdir()) == []
 
 

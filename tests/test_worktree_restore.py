@@ -1,4 +1,10 @@
-"""A working copy is reused only when it holds exactly what a fresh copy of the pristine tree would."""
+"""A tree is reused only when its fingerprint is the one taken right after it was built.
+
+Each case builds a tree as a copy of a pristine one, takes the tree's
+fingerprint, lets a job act on it, and checks that the fingerprint is
+unchanged exactly when the tree still holds what a fresh copy of the
+pristine tree would.
+"""
 
 import os
 import shutil
@@ -9,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failpass.reproducer import _same_tree
+from failpass.reproducer import tree_fingerprint
 from conftest import git, make_repo
 
 SENTINEL = b"outside the tree\n"
@@ -56,9 +62,13 @@ def has_linked_file(root: Path) -> bool:
     return False
 
 
+def unchanged(work: Path, built: dict) -> bool:
+    return tree_fingerprint(work) == built
+
+
 @pytest.fixture()
 def world(tmp_path):
-    """A pristine tree, a working copy of it, and an outside directory holding a sentinel file."""
+    """A pristine tree, a tree built as a copy of it with its fingerprint, and an outside directory with a sentinel."""
     pristine = tmp_path / "pristine"
     (pristine / "src" / "pkg").mkdir(parents=True)
     (pristine / "src" / "pkg" / "mod.py").write_text("x = 1\n")
@@ -73,38 +83,38 @@ def world(tmp_path):
     (outside / "sentinel").write_bytes(SENTINEL)
     work = tmp_path / "work"
     shutil.copytree(pristine, work, symlinks=True)
-    return pristine, work, outside, tmp_path
+    return pristine, work, outside, tmp_path, tree_fingerprint(work)
 
 
 class TestFixedCases:
     def test_same_size_edit_with_mtime_reset(self, world):
-        pristine, work, _, _ = world
+        pristine, work, _, _, built = world
         target = work / "src" / "pkg" / "data.txt"
         before = os.stat(target)
         target.write_text("ABCDEF\n")
         os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert not _same_tree(pristine, work, {})
+        assert not unchanged(work, built)
 
     def test_file_and_directory_swap_types(self, world):
-        pristine, work, _, _ = world
+        pristine, work, _, _, built = world
         (work / "run.sh").unlink()
         (work / "run.sh").mkdir()
-        assert not _same_tree(pristine, work, {})
+        assert not unchanged(work, built)
         shutil.rmtree(work)
         shutil.copytree(pristine, work, symlinks=True)
         shutil.rmtree(work / "docs")
         (work / "docs").write_text("now a file\n")
-        assert not _same_tree(pristine, work, {})
+        assert not unchanged(work, built)
 
     def test_added_entry_with_the_directory_mtime_put_back(self, world):
-        pristine, work, _, _ = world
+        pristine, work, _, _, built = world
         before = os.stat(work / "docs")
         (work / "docs" / "extra.md").write_text("extra\n")
         os.utime(work / "docs", ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert not _same_tree(pristine, work, {})
+        assert not unchanged(work, built)
 
     def test_symlink_to_an_outside_directory_is_not_followed(self, world):
-        pristine, work, outside, _ = world
+        pristine, work, outside, _, built = world
         # the link's target holds exactly what the directory held: only the link itself differs
         shutil.copytree(pristine / "docs", outside / "docs")
         shutil.copystat(pristine / "docs", outside / "docs")
@@ -112,14 +122,14 @@ class TestFixedCases:
         shutil.rmtree(work / "docs")
         os.symlink(outside / "docs", work / "docs")
         os.utime(work, ns=(root.st_atime_ns, root.st_mtime_ns))
-        assert not _same_tree(pristine, work, {})
+        assert not unchanged(work, built)
         assert sorted(os.listdir(outside)) == ["docs", "sentinel"]
         assert (outside / "sentinel").read_bytes() == SENTINEL
 
     @pytest.mark.parametrize("outside_bytes", [b"x = 1\n", b"x = 2\n", b"a longer outside file\n"])
     def test_hard_link_to_an_outside_file_is_replaced(self, world, outside_bytes):
-        """A file that shares its inode with one outside the tree reads as changed, so the copy is replaced."""
-        pristine, work, outside, _ = world
+        """A file that shares its inode with one outside the tree reads as changed, so the tree is rebuilt."""
+        pristine, work, outside, _, built = world
         original = pristine / "src" / "pkg" / "mod.py"
         shared = outside / "shared.py"
         shared.write_bytes(outside_bytes)
@@ -129,7 +139,7 @@ class TestFixedCases:
         (work / "src" / "pkg" / "mod.py").unlink()
         os.link(shared, work / "src" / "pkg" / "mod.py")
         os.utime(work / "src" / "pkg", ns=(pkg.st_atime_ns, pkg.st_mtime_ns))
-        assert not _same_tree(pristine, work, {})
+        assert not unchanged(work, built)
         after = os.stat(shared)
         assert shared.read_bytes() == outside_bytes
         assert (after.st_mode, after.st_mtime_ns, after.st_nlink) == (before.st_mode, before.st_mtime_ns, 2)
@@ -140,33 +150,77 @@ class TestFixedCases:
                                         {"a.txt": "two\n", "b/c.txt": "new\n"}])
         work = tmp_path / "work"
         shutil.copytree(pristine, work, symlinks=True)
-        assert _same_tree(pristine, work, {})
+        built = tree_fingerprint(work)
+        assert unchanged(work, built)
         index_before = (work / ".git" / "index").read_bytes()
         git(work, "checkout", "--quiet", first)
         assert (work / ".git" / "index").read_bytes() != index_before
-        assert not _same_tree(pristine, work, {})
+        assert not unchanged(work, built)
 
     @pytest.mark.parametrize("change", ["chmod", "touch"])
     def test_root_mode_and_mtime_count(self, world, change):
-        pristine, work, _, _ = world
+        pristine, work, _, _, built = world
         if change == "chmod":
             work.chmod(os.stat(work).st_mode ^ 0o020)
         else:
             os.utime(work, ns=(1_000_000_000, 1_000_000_000))
-        assert not _same_tree(pristine, work, {})
+        assert not unchanged(work, built)
 
     def test_unchanged_copy_stays_equal(self, world):
-        pristine, work, _, _ = world
-        listings = {}
-        assert _same_tree(pristine, work, listings)
-        assert _same_tree(pristine, work, listings)  # from the cached listings too
+        pristine, work, _, tmp_path, built = world
+        assert unchanged(work, built)
+        assert unchanged(work, built)
+        # entries are keyed by their path in the tree, so a fresh copy elsewhere reads the same
+        fresh = tmp_path / "fresh"
+        shutil.copytree(pristine, fresh, symlinks=True)
+        assert unchanged(fresh, built)
+
+    def test_mode_change_with_mtime_kept(self, world):
+        _, work, _, _, built = world
+        target = work / "run.sh"
+        before = os.stat(target)
+        target.chmod(0o644)
+        os.utime(target, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert not unchanged(work, built)
+
+    def test_retargeted_symlink_with_mtime_kept(self, world):
+        _, work, _, _, built = world
+        link = work / "pkg-link"
+        root = os.stat(work)
+        link.unlink()
+        os.symlink("src/pkg/", link)
+        os.utime(link, ns=(1_000_000_000, 1_000_000_000), follow_symlinks=False)
+        os.utime(work, ns=(root.st_atime_ns, root.st_mtime_ns))
+        assert not unchanged(work, built)
+
+    def test_removed_entry_with_the_directory_mtime_put_back(self, world):
+        _, work, _, _, built = world
+        before = os.stat(work / "docs")
+        (work / "docs" / "index.md").unlink()
+        os.utime(work / "docs", ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert not unchanged(work, built)
+
+    def test_an_unreadable_entry_raises(self, world, monkeypatch):
+        _, work, _, _, _ = world
+        target = os.fspath(work / "src" / "pkg" / "data.txt")
+
+        real_open = os.open
+
+        def refusing_open(path, *args, **kwargs):
+            if os.fspath(path) == target:
+                raise PermissionError(13, "Permission denied", target)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", refusing_open)
+        with pytest.raises(PermissionError):
+            tree_fingerprint(work)
 
     def test_a_copy_whose_files_were_only_read_is_equal(self, world):
-        pristine, work, _, _ = world
+        pristine, work, _, _, built = world
         for path in entries(work):
             if path.is_file() and not path.is_symlink():
                 path.read_bytes()
-        assert _same_tree(pristine, work, {})
+        assert unchanged(work, built)
 
 
 # --- random pristine trees and random job mutations --------------------------
@@ -285,11 +339,12 @@ class TestRandomTrees:
             (outside / "sentinel").write_bytes(SENTINEL)
             work = tmp / "work"
             shutil.copytree(pristine, work, symlinks=True)
+            built = tree_fingerprint(work)
             want = snapshot(pristine)
             for step in steps:
                 mutate(work, outside, *step)
             outside_before, work_before = snapshot(outside), snapshot(work)
-            same = _same_tree(pristine, work, {})
+            same = unchanged(work, built)
             assert same == (work_before == fresh_snapshot(pristine, tmp) and not has_linked_file(work))
             assert (snapshot(work), snapshot(outside), snapshot(pristine)) == (work_before, outside_before, want)
             assert (outside / "sentinel").read_bytes() == SENTINEL
