@@ -93,6 +93,7 @@ def cmd_reproduce(args):
 
     records = []
     raw_configs: dict[str, dict[int, dict]] = {}  # slug -> job_id -> raw config
+    trees_edited = False  # carried from pair to pair: once a job changed its tree, every side runs in copies
     # one clone per repository for the whole command; each tree gets a copy of its .git
     with CloneScope() as clones:
         for v in verdicts:
@@ -115,8 +116,10 @@ def cmd_reproduce(args):
                     timeout_s=args.timeout_s,
                     log_sink=log_sink,
                     clones=clones,
+                    trees_edited=trees_edited,
                 )
                 records.append(stability_protocol(v.pair, v, ctx, n=args.repeats))
+                trees_edited = ctx.trees_edited
     _write_jsonl(args.out, [r.to_dict() for r in records])
     for r in records:
         print(f"{r.pair_id}: {r.stability}" + (f" ({r.category})" if r.category else ""), file=sys.stderr)

@@ -9,6 +9,7 @@ flaky, or unreproducible.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import shlex
@@ -222,6 +223,7 @@ class ReproductionContext:
     timeout_s: float = DEFAULT_TIMEOUT_S
     log_sink: Optional[object] = None  # callable(pair_id, attempt, side, text)
     clones: Optional[CloneScope] = None  # one clone per repository for git-built trees; without it each is a clone
+    trees_edited: bool = False  # a job has changed its tree (here or in an earlier pair): sides run in copies
 
     def original_attributes(self, job_id: int) -> Optional[analyzer.LogAttributes]:
         text = self.connector.fetch_job_log(job_id)
@@ -232,8 +234,6 @@ class ReproductionContext:
 
 def _digest(path: str) -> bytes:
     """BLAKE2b of a file's bytes."""
-    import hashlib  # here, not at the top: loading it adds a few ms to the start of every command
-
     fd = os.open(path, os.O_RDONLY)
     try:
         digest = hashlib.blake2b()
@@ -242,6 +242,34 @@ def _digest(path: str) -> bytes:
         return digest.digest()
     finally:
         os.close(fd)
+
+
+def _walk(root: Path):
+    """(key, path, lstat) of ``root``, keyed ``.``, then of each path under it, keyed by its path in the tree.
+
+    Nothing is followed through a symlink.
+    """
+    st = os.lstat(root)
+    yield ".", os.fspath(root), st
+    pending = [(os.fspath(root), "")] if stat.S_ISDIR(st.st_mode) else []  # (path, its key's prefix)
+    while pending:
+        path, prefix = pending.pop()
+        with os.scandir(path) as it:
+            for entry in it:
+                st = entry.stat(follow_symlinks=False)
+                if stat.S_ISDIR(st.st_mode):
+                    pending.append((entry.path, prefix + entry.name + "/"))
+                yield prefix + entry.name, entry.path, st
+
+
+def _stat_part(st: os.stat_result) -> tuple:
+    return st.st_mode, st.st_uid, st.st_gid, st.st_mtime_ns, st.st_nlink
+
+
+def _content_part(path: str, st: os.stat_result):
+    if stat.S_ISLNK(st.st_mode):
+        return os.readlink(path)
+    return _digest(path) if stat.S_ISREG(st.st_mode) else None
 
 
 def tree_fingerprint(root: Path) -> dict[str, tuple]:
@@ -255,33 +283,33 @@ def tree_fingerprint(root: Path) -> dict[str, tuple]:
     followed through a symlink and nothing is written. Raises OSError when
     an entry cannot be read.
     """
-    st = os.lstat(root)
-    prints = {".": (st.st_mode, st.st_uid, st.st_gid, st.st_mtime_ns, st.st_nlink, None)}
-    pending = [(os.fspath(root), "")] if stat.S_ISDIR(st.st_mode) else []  # (path, its key's prefix)
-    while pending:
-        path, prefix = pending.pop()
-        with os.scandir(path) as it:
-            for entry in it:
-                st = entry.stat(follow_symlinks=False)
-                key, detail = prefix + entry.name, None
-                if stat.S_ISDIR(st.st_mode):
-                    pending.append((entry.path, key + "/"))
-                elif stat.S_ISLNK(st.st_mode):
-                    detail = os.readlink(entry.path)
-                elif stat.S_ISREG(st.st_mode):
-                    detail = _digest(entry.path)
-                prints[key] = (st.st_mode, st.st_uid, st.st_gid, st.st_mtime_ns, st.st_nlink, detail)
-    return prints
+    return {key: (*_stat_part(st), _content_part(path, st)) for key, path, st in _walk(root)}
+
+
+def tree_unchanged(root: Path, fingerprint: dict[str, tuple]) -> bool:
+    """Whether ``tree_fingerprint(root) == fingerprint``, read only up to the first entry that differs.
+
+    A file is read only when its stat part matches. Raises OSError when an
+    entry that is read cannot be.
+    """
+    seen = 0
+    for key, path, st in _walk(root):
+        want = fingerprint.get(key)
+        if want is None or want[:5] != _stat_part(st) or want[5] != _content_part(path, st):
+            return False
+        seen += 1
+    return seen == len(fingerprint)
 
 
 @dataclass
 class _Side:
-    """A side that runs: its job script, its commits, its tree and the tree's fingerprint (None if unreadable)."""
+    """A side that runs: its job script, its commits, its tree and the fingerprint the tree is checked against."""
 
     script: str
     coords: CommitCoordinates
     tree: Optional[WorkTree] = None
-    fingerprint: Optional[dict] = None
+    fingerprint: Optional[dict] = None  # None when the tree could not be read
+    reserve: Optional[WorkTree] = None  # a tree no job runs in; each attempt after it is made runs in a copy
     ran: bool = False  # a job has run in ``tree``
 
 
@@ -296,9 +324,15 @@ class PairInputs:
     original log is read or its tree is built. Nothing is built after that
     reason. Jobs run in the tree as built. Its fingerprint is taken right
     after the build, and before each later attempt the tree is checked
-    against it: a tree that differs, or cannot be read, is removed and built
-    again, so a job that edits its tree cannot affect a later attempt. A
-    rebuild that fails gives the side its reason from then on.
+    against it: a tree that differs, or cannot be read, is removed, so a job
+    that edits its tree cannot affect a later attempt. The first time that
+    happens the side's tree is built once more, as a reserve no job runs in,
+    and from then on each such attempt runs in a fresh copy of the reserve.
+    A reserve that cannot be built gives the side its reason from then on
+    (see ``reason``). Once any job of the command has changed its tree
+    (``ctx.trees_edited``), each side that has not run yet keeps its build as
+    the reserve and runs every attempt in a copy, so a command whose jobs
+    edit their trees builds one more tree only for the first side that does.
     """
 
     def __init__(self, pair: JobPair, ctx: ReproductionContext, pair_dir: Path):
@@ -314,7 +348,7 @@ class PairInputs:
                 self.originals[side] = ctx.original_attributes(job.job_id)
             except ConnectorError as exc:
                 self.originals[side], self._sides[side] = None, str(exc)
-        self._rebuilds = 0
+        self._copies = 0
         for side, (job, coords) in jobs.items():
             if side in self._sides:  # its original log could not be read
                 continue
@@ -330,53 +364,74 @@ class PairInputs:
                     self._sides[side] = exc.reason
                 else:
                     self._sides[side] = prepared
-                    self._build(side, prepared)
+                    self._build(side, prepared, self._pair_dir)
 
-    def _build(self, side: str, prepared: _Side) -> None:
-        """Build the side's tree into a new directory named ``side`` and take its fingerprint, or block the side."""
+    def reason(self, side: str) -> Optional[str]:
+        """Why every attempt of the side fails, or None while it can run.
+
+        A side blocked after some of its attempts ran (its reserve could not
+        be built) counts as unmatched in those attempts too.
+        """
+        prepared = self._sides[side]
+        return prepared if isinstance(prepared, str) else None
+
+    def _build(self, side: str, prepared: _Side, parent: Path) -> bool:
+        """Build the side's tree as ``parent / side`` and take its fingerprint; False when that blocked the side."""
         ctx = self._ctx
-        parent = self._pair_dir
-        if prepared.tree is not None:  # a rebuild
-            self._rebuilds += 1
-            parent = self._pair_dir / f"rebuild-{self._rebuilds}"
         archive_fetch = lambda sha, d: ctx.connector.fetch_archive_snapshot(self._slug, sha, d)
         try:
             prepared.tree = revert_project(prepared.coords, ctx.connector.repo_path(self._slug), archive_fetch,
                                            parent / side, clones=ctx.clones)
         except ReproductionError as exc:
             self._sides[side] = exc.reason
-            return
+            return False
         except ConnectorError as exc:
             self._sides[side] = str(exc)
-            return
+            return False
         try:
             prepared.fingerprint = tree_fingerprint(prepared.tree.root)
         except OSError:
             prepared.fingerprint = None
+        return True
 
     def _tree(self, side: str, prepared: _Side) -> Optional[WorkTree]:
-        """The tree for the side's next job; once a job ran in it, rebuilt unless it still has its fingerprint.
+        """The tree for the side's next job: once a job ran in it, replaced unless it still has its fingerprint.
 
-        None when the rebuild failed and blocked the side.
+        None when the reserve could not be built and blocked the side.
         """
         if prepared.ran:
             try:
-                same = prepared.fingerprint == tree_fingerprint(prepared.tree.root)
+                same = prepared.fingerprint is not None and tree_unchanged(prepared.tree.root, prepared.fingerprint)
             except OSError:
                 same = False
             if not same:
+                self._ctx.trees_edited = True
                 # a new directory: an abandoned tree may hold files that cannot be removed
                 shutil.rmtree(prepared.tree.root, ignore_errors=True)
-                self._build(side, prepared)
+                if prepared.reserve is None:
+                    if not self._build(side, prepared, self._pair_dir / "reserve"):
+                        return None
+                    prepared.reserve = prepared.tree
+                prepared.tree = self._copy(side, prepared.reserve)
+        elif self._ctx.trees_edited:  # this command's jobs edit their trees: keep the first build as the reserve
+            prepared.reserve = prepared.tree
+            prepared.tree = self._copy(side, prepared.reserve)
         prepared.ran = True
-        return None if isinstance(self._sides[side], str) else prepared.tree
+        return prepared.tree
+
+    def _copy(self, side: str, reserve: WorkTree) -> WorkTree:
+        """A fresh copy of the reserve, which has the reserve's fingerprint: copytree keeps modes and mtimes."""
+        self._copies += 1
+        work = self._pair_dir / f"copy-{self._copies}" / side
+        shutil.copytree(reserve.root, work, symlinks=True)
+        return WorkTree(root=work, construction=reserve.construction)
 
     def attempt(self, side: str, image: str) -> SideResult:
         """One attempt of one side: unmatched with its reason if blocked, else run, analyze and compare."""
         prepared = self._sides[side]
         tree = None if isinstance(prepared, str) else self._tree(side, prepared)
         if tree is None:
-            return SideResult(matched=False, reason=self._sides[side])
+            return SideResult(matched=False, reason=self.reason(side))
         ctx = self._ctx
         env = {SCRATCH_ENV: str(ctx.scratch_dir)} if ctx.scratch_dir else None
         outcome = run_job(prepared.script, image, tree, ctx.timeout_s, ctx.runtime, env=env)
@@ -421,8 +476,7 @@ def stability_protocol(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionC
     if ref is None:
         raise ValueError("pair did not reach the with_image stage")
     image = f"{ref.registry}/{ref.name}:{ref.tag}"
-    attempts: list[tuple[bool, bool]] = []
-    mismatch_reasons: list[Optional[str]] = []
+    runs: list[dict[str, SideResult]] = []
     # files a job leaves may not be removable (say, root-owned ones from a container); they stay, the run goes on
     with tempfile.TemporaryDirectory(prefix="failpass-pair-", ignore_cleanup_errors=True) as pair_dir:
         inputs = PairInputs(pair, ctx, Path(pair_dir))
@@ -432,8 +486,14 @@ def stability_protocol(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionC
                 for side, res in results.items():
                     if res.outcome is not None:
                         ctx.log_sink(pair_id(pair), k, side, res.outcome.log_text)
-            attempts.append((results["fail"].matched, results["pass"].matched))
-            mismatch_reasons += [r.reason for r in results.values() if not r.matched]
+            runs.append(results)
+    # a side blocked after some of its attempts ran matches in none of them, so the pair cannot read as flaky
+    attempts: list[tuple[bool, bool]] = []
+    mismatch_reasons: list[Optional[str]] = []
+    for results in runs:
+        matched = {side: res.matched and inputs.reason(side) is None for side, res in results.items()}
+        attempts.append((matched["fail"], matched["pass"]))
+        mismatch_reasons += [res.reason or inputs.reason(side) for side, res in results.items() if not matched[side]]
     stability = stability_from_attempts(attempts)
     category = None
     reason = None

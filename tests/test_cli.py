@@ -26,7 +26,7 @@ from conftest import (
     wrap_original_log,
     write_project,
 )
-from test_reproducer import stub_docker
+from test_reproducer import _edit_checking_script, stub_docker
 from test_store import mk_record
 
 LOG_DIR = Path(__file__).parent / "fixtures" / "logs"
@@ -270,6 +270,38 @@ def test_reproduce_clones_each_repository_once(e2e_root, catalog_path, tmp_path,
     # six trees, one per pair side, from one clone per repository
     assert sorted(argv[-2] for argv in git_clones(commands)) == sorted(str(e2e_root / s / "repo") for s in slugs)
     assert len([argv for argv in commands if argv[3:4] == ["checkout"]]) == 6
+
+
+def test_once_a_job_edits_its_tree_later_pairs_build_each_side_once(catalog_path, tmp_path, monkeypatch):
+    """The first pair's sides are built again once their jobs edit their trees; the next pair's are not."""
+    monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
+    root, verdicts, records = tmp_path / "edit-world", tmp_path / "verdicts.jsonl", tmp_path / "records.jsonl"
+    cfg = {"language": "python", "script": ["./run_tests.sh"]}
+    for k, slug in enumerate(("acme/editor-a", "acme/editor-b")):
+        shas = make_repo(root / slug / "repo", [
+            {"run_tests.sh": _edit_checking_script(PYTEST_FAIL_BODY, 1), "state.txt": "clean\n"},
+            {"run_tests.sh": _edit_checking_script(PYTEST_PASS_BODY, 0)},
+        ])
+        jobs = 4001 + 10 * k, 4002 + 10 * k
+        write_project(root, slug, [
+            build_record(jobs[0], "failed", "push", "master", "2017-02-01T00:00:00Z",
+                         [job_record(jobs[0], "failed", cfg)], trigger_sha=shas[0]),
+            build_record(jobs[1], "passed", "push", "master", "2017-02-02T00:00:00Z",
+                         [job_record(jobs[1], "passed", cfg)], trigger_sha=shas[1]),
+        ], {jobs[0]: wrap_original_log(PYTEST_FAIL_BODY, 1), jobs[1]: wrap_original_log(PYTEST_PASS_BODY, 0)})
+        pairs, part = tmp_path / f"pairs-{k}.jsonl", tmp_path / f"verdicts-{k}.jsonl"
+        main(["mine", slug, "--fixture", str(root), "--out", str(pairs)])
+        main(["filter", "--pairs", str(pairs), "--catalog", str(catalog_path), "--fixture", str(root),
+              "--out", str(part)])
+        with verdicts.open("a") as fh:
+            fh.write(part.read_text())
+    commands = record_git_commands(monkeypatch)
+    rc = main(["reproduce", "--verdicts", str(verdicts), "--fixture", str(root), "--repeats", "3",
+               "--timeout-s", "60", "--out", str(records), "--output-dir", str(tmp_path / "output")])
+    assert rc == 0
+    assert [r["attempts"] for r in read_jsonl(records)] == [[[True, True]] * 3] * 2
+    # first pair: a build and a reserve per side; second pair: its builds are the reserves
+    assert len([argv for argv in commands if argv[3:4] == ["checkout"]]) == 4 + 2
 
 
 class TestWriteJsonl:

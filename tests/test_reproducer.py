@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from failpass import analyzer, reproducer
-from failpass.connector import FixtureConnector, clone_at
+from failpass.connector import ConnectorError, FixtureConnector, clone_at
 from failpass.miner import mine
 from failpass.model import (
     Availability,
@@ -674,30 +674,65 @@ class TestSharedPairInputs:
         assert all("Done. Your build exited with 0." in text for *_, text in sunk)
 
 
+def _side_copies(monkeypatch) -> Counter:
+    """Count ``shutil.copytree`` calls by their destination's name; a side's copy is named after the side."""
+    return _counting(monkeypatch, shutil, "copytree", lambda a: Path(a[1]).name)
+
+
+def _sides(counts: Counter) -> dict:
+    """The counts of the two sides alone (a ``.git`` copy and copytree's own recursive calls aside)."""
+    return {k: n for k, n in counts.items() if k in ("fail", "pass")}
+
+
 class TestWorkingCopies:
-    """Jobs run in the tree as built; a tree a job changed is rebuilt before the next attempt."""
+    """Jobs run in the tree as built; a tree a job changed is replaced before the next attempt.
+
+    The first replacement builds the side's tree once more, as a reserve no
+    job runs in; each attempt after a change runs in a fresh copy of it.
+    """
 
     def test_one_copy_per_side(self, e2e_root, catalog_path, tmp_path, monkeypatch):
         # the job leaves its tree alone, so each check finds the tree unchanged
         built = _counting(monkeypatch, reproducer, "revert_project", lambda a: Path(a[3]).name)
+        copied = _side_copies(monkeypatch)
         pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
         ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
         record = stability_protocol(pair, verdict, ctx, n=5)
         assert record.attempts == [(True, True)] * 5
         assert built == {"fail": 1, "pass": 1}
+        assert _sides(copied) == {}
 
     def test_an_edited_copy_is_replaced(self, edit_root, catalog_path, tmp_path, monkeypatch):
         tmp = tmp_path / "tmp"
         tmp.mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp))
         built = _counting(monkeypatch, reproducer, "revert_project", lambda a: Path(a[3]).name)
+        copied = _side_copies(monkeypatch)
+        # by the tree's directory: failpass-pair-* (the first build), copy-<k> or reserve
+        runs = _counting(monkeypatch, reproducer, "run_job", lambda a: a[2].root.parent.name.split("-")[0])
         pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
         ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
         record = stability_protocol(pair, verdict, ctx, n=5)
         assert record.stability == "reproducible"
         assert record.attempts == [(True, True)] * 5
-        assert built == {"fail": 5, "pass": 5}
+        assert built == {"fail": 2, "pass": 2}
+        assert _sides(copied) == {"fail": 4, "pass": 4}
+        # the first attempt runs in the first build, every later one in its own copy; none in the reserve
+        assert runs == {"failpass": 2, "copy": 8}
+        assert ctx.trees_edited
         assert list(tmp.iterdir()) == []
+
+    def test_once_jobs_edit_their_trees_each_build_is_the_reserve(self, edit_root, catalog_path, tmp_path,
+                                                                 monkeypatch):
+        built = _counting(monkeypatch, reproducer, "revert_project", lambda a: Path(a[3]).name)
+        copied = _side_copies(monkeypatch)
+        pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
+        ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
+        ctx.trees_edited = True  # an earlier pair of the command found a tree its job had changed
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        assert record.attempts == [(True, True)] * 5
+        assert built == {"fail": 1, "pass": 1}
+        assert _sides(copied) == {"fail": 5, "pass": 5}
 
     def test_failed_restore_falls_back_to_a_fresh_copy(self, e2e_root, catalog_path, tmp_path, monkeypatch):
         tmp = tmp_path / "tmp"
@@ -707,24 +742,50 @@ class TestWorkingCopies:
         ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
         clean = stability_protocol(pair, verdict, ctx, n=5)
         built = _counting(monkeypatch, reproducer, "revert_project", lambda a: Path(a[3]).name)
-        runs = _counting(monkeypatch, reproducer, "run_job", lambda a: a[2].root.name)
-        real = reproducer.tree_fingerprint
+        copied = _side_copies(monkeypatch)
+        real = reproducer.tree_unchanged
         failed = []
 
-        def check_failing_once(root):
-            # the first fingerprint taken after a job ran is a check before a later attempt
-            if failed or not runs:
-                return real(root)
+        def check_failing_once(root, fingerprint):
+            if failed:
+                return real(root, fingerprint)
             failed.append(Path(root).name)
             raise PermissionError(errno.EACCES, "Permission denied", str(root))
 
-        monkeypatch.setattr(reproducer, "tree_fingerprint", check_failing_once)
+        monkeypatch.setattr(reproducer, "tree_unchanged", check_failing_once)
         faulted = stability_protocol(pair, verdict, ctx, n=5)
         assert faulted == clean
         assert clean.attempts == [(True, True)] * 5
         (side,) = failed
         assert built[side] == 2 and sum(built.values()) == 3
+        assert _sides(copied) == {side: 1}
         assert list(tmp.iterdir()) == []
+
+    def test_a_reserve_that_cannot_be_built_leaves_the_pair_unreproducible(self, edit_root, catalog_path, tmp_path,
+                                                                         monkeypatch):
+        # the fail side's tree is edited by its first job; building it once more fails
+        real = reproducer.revert_project
+        builds = Counter()
+
+        def second_fail_build_fails(coords, repo, archive_fetch, dest, clones=None):
+            builds[Path(dest).name] += 1
+            if Path(dest).name == "fail" and builds["fail"] == 2:
+                raise ConnectorError("git checkout: fatal: unable to read tree")
+            return real(coords, repo, archive_fetch, dest, clones=clones)
+
+        monkeypatch.setattr(reproducer, "revert_project", second_fail_build_fails)
+        runs = _counting(monkeypatch, reproducer, "run_job", lambda a: a[2].root.name)
+        pair, verdict = _mined_verdict(edit_root, "acme/editor", "python", catalog_path)
+        ctx = _context_for(edit_root, "acme/editor", "python", tmp_path)
+        sunk = []
+        ctx.log_sink = lambda pid, attempt, side, text: sunk.append((attempt, side))
+        record = stability_protocol(pair, verdict, ctx, n=5)
+        # the fail side's first job ran and its log was kept, yet the side counts as unmatched in every attempt
+        assert runs == {"fail": 1, "pass": 5} and (0, "fail") in sunk
+        assert record.attempts == [(False, True)] * 5
+        assert (record.stability, record.category) == ("unreproducible", None)
+        assert record.unreproducibility_reason == "project_specific"
+        assert builds == {"fail": 2, "pass": 2}
 
 
 GIT_REPORTING_SCRIPT = """#!/bin/sh

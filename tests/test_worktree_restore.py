@@ -3,7 +3,9 @@
 Each case builds a tree as a copy of a pristine one, takes the tree's
 fingerprint, lets a job act on it, and checks that the fingerprint is
 unchanged exactly when the tree still holds what a fresh copy of the
-pristine tree would.
+pristine tree would. Every check runs both ``tree_unchanged``, which stops
+at the first entry that differs, and a full ``tree_fingerprint``, and they
+must agree.
 """
 
 import os
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from failpass.reproducer import tree_fingerprint
+from failpass.reproducer import tree_fingerprint, tree_unchanged
 from conftest import git, make_repo
 
 SENTINEL = b"outside the tree\n"
@@ -63,7 +65,9 @@ def has_linked_file(root: Path) -> bool:
 
 
 def unchanged(work: Path, built: dict) -> bool:
-    return tree_fingerprint(work) == built
+    same = tree_unchanged(work, built)
+    assert same == (tree_fingerprint(work) == built)
+    return same
 
 
 @pytest.fixture()
@@ -201,7 +205,7 @@ class TestFixedCases:
         assert not unchanged(work, built)
 
     def test_an_unreadable_entry_raises(self, world, monkeypatch):
-        _, work, _, _, _ = world
+        _, work, _, _, built = world
         target = os.fspath(work / "src" / "pkg" / "data.txt")
 
         real_open = os.open
@@ -214,6 +218,8 @@ class TestFixedCases:
         monkeypatch.setattr(os, "open", refusing_open)
         with pytest.raises(PermissionError):
             tree_fingerprint(work)
+        with pytest.raises(PermissionError):
+            tree_unchanged(work, built)
 
     def test_a_copy_whose_files_were_only_read_is_equal(self, world):
         pristine, work, _, _, built = world
