@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 from . import analyzer
-from .connector import CloneScope, ConnectorError, make_connector
+from .connector import CloneScope, ConnectorError, ProjectNotFound, make_connector
 from .miner import mine
 from .model import JobPair, parse_timestamp, replace_file
 from .pairfilter import DEFAULT_DOCKER_CUTOFF, CatalogError, FilterVerdict, filter_pairs, load_catalog
@@ -101,11 +101,12 @@ def cmd_reproduce(args):
                 continue
             slug = v.pair.project.slug
             if slug not in raw_configs:
-                raw_configs[slug] = {
-                    j["job_id"]: j["config"]
-                    for r in connector.fetch_raw_records(slug)
-                    for j in r.get("jobs", [])
-                }
+                try:
+                    raw_records = connector.fetch_raw_records(slug)
+                except ProjectNotFound as exc:  # gone since filter: its pairs run with no job configuration
+                    print(f"failpass: {exc}", file=sys.stderr)
+                    raw_records = []
+                raw_configs[slug] = {j["job_id"]: j["config"] for r in raw_records for j in r.get("jobs", [])}
             with tempfile.TemporaryDirectory(prefix="failpass-scratch-", ignore_cleanup_errors=True) as scratch:
                 ctx = ReproductionContext(
                     connector=connector,

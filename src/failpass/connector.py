@@ -17,9 +17,9 @@ import subprocess
 import tempfile
 import zipfile
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
-from .model import Build, Event, Job, Status, config_fingerprint, parse_timestamp
+from .model import SHA_RE, Build, Event, Job, Status, config_fingerprint, parse_timestamp
 
 
 class ConnectorError(Exception):
@@ -151,98 +151,57 @@ def extract_archive(zpath: Path, dest: os.PathLike) -> Path:
 # --- git helpers -----------------------------------------------------------
 
 
-def _run_git(argv: list[str], env: Optional[dict[str, str]] = None) -> subprocess.CompletedProcess:
+def _run_git(argv: list[str], env: Optional[dict[str, str]] = None,
+             input: Optional[str] = None) -> subprocess.CompletedProcess:
     """Run one git command; a failure raises ConnectorError with the command and git's stderr (or stdout)."""
-    result = subprocess.run(argv, capture_output=True, text=True, env=env)
+    result = subprocess.run(argv, capture_output=True, text=True, env=env, input=input)
     if result.returncode != 0:
         output = (result.stderr or result.stdout).strip()
         raise ConnectorError(f"{shlex.join(argv)} exited with {result.returncode}: {output}")
     return result
 
 
-def _git(repo: os.PathLike, *args: str, check: bool = True,
-         env: Optional[dict[str, str]] = None) -> subprocess.CompletedProcess:
+def _git(repo: os.PathLike, *args: str, check: bool = True, env: Optional[dict[str, str]] = None,
+         input: Optional[str] = None) -> subprocess.CompletedProcess:
     argv = ["git", "-C", str(repo), *args]
     if check:
-        return _run_git(argv, env)
-    return subprocess.run(argv, capture_output=True, text=True, env=env)
+        return _run_git(argv, env, input)
+    return subprocess.run(argv, capture_output=True, text=True, env=env, input=input)
 
 
 def commit_exists(repo, sha: str) -> bool:
     """True iff sha resolves to a commit in the local clone.
 
-    ``repo`` is the clone's path, or a ``CommitProbe`` open on it, which
-    gives the same answer without starting a git process per lookup.
+    ``repo`` is the clone's path, or the ``known_commits`` of it, which
+    answers without starting a git process.
     """
-    if isinstance(repo, CommitProbe):
-        return repo.exists(sha)
+    if isinstance(repo, frozenset):
+        return sha in repo
     if not Path(repo).exists():
         raise ConnectorError(f"repository clone missing: {repo}")
     result = _git(repo, "cat-file", "-e", f"{sha}^{{commit}}", check=False)
     return result.returncode == 0
 
 
-class CommitProbe:
-    """One ``git cat-file --batch-check`` answering commit lookups in one clone.
+def known_commits(repo: os.PathLike, shas: Iterable[str]) -> frozenset[str]:
+    """The shas that ``commit_exists`` finds in the local clone, looked up by one ``git cat-file --batch-check``.
 
-    Each lookup sends ``<sha>^{commit}``, so every answer is the one of
-    ``git cat-file -e <sha>^{commit}``: true for a commit no ref reaches and
-    for a tag that peels to a commit, false for a tree, a blob, a missing
-    name or an ambiguous prefix. The process starts at the first lookup and
-    ends at ``close``. A name that cannot be sent unchanged as one line (a
-    line break, NUL, surrounding whitespace, a character with no file-system
-    encoding) is looked up with the one-shot command instead, and so is a
-    name on which git dies (``@{upstream}`` without an upstream, say); the
-    next lookup starts a new process.
+    Each distinct sha is sent once as ``<sha>^{commit}``: a commit no ref
+    reaches and a tag that peels to a commit count, a tree, a blob and a
+    missing object do not. A name that is not a 40-hex sha raises ValueError
+    before any process starts, and no sha at all starts none; a failed git
+    command raises ConnectorError.
     """
-
-    def __init__(self, repo: os.PathLike):
-        self.repo = repo
-        self._proc: Optional[subprocess.Popen] = None
-
-    def __enter__(self) -> CommitProbe:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def exists(self, sha: str) -> bool:
-        if not Path(self.repo).exists():
-            raise ConnectorError(f"repository clone missing: {self.repo}")
-        if "\n" in sha or "\0" in sha or sha != sha.strip():
-            return commit_exists(self.repo, sha)
-        try:
-            line = os.fsencode(f"{sha}^{{commit}}\n")
-        except UnicodeEncodeError:
-            return commit_exists(self.repo, sha)
-        if self._proc is None:
-            self._proc = subprocess.Popen(
-                ["git", "-C", str(self.repo), "cat-file", "--batch-check=%(objecttype)"],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-            )
-        try:
-            self._proc.stdin.write(line)
-            self._proc.stdin.flush()
-            answer = self._proc.stdout.readline()
-        except BrokenPipeError:
-            answer = b""
-        if not answer:  # git died on this name
-            self.close()
-            return commit_exists(self.repo, sha)
-        # any other answer ends in " missing" or " ambiguous"
-        return answer == b"commit\n"
-
-    def close(self) -> None:
-        """End the batch process, if one is running, and wait for it."""
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        try:
-            proc.stdin.close()
-        except BrokenPipeError:
-            pass
-        proc.stdout.close()
-        proc.wait()
+    names = sorted(set(shas))
+    for sha in names:
+        if not SHA_RE.fullmatch(sha):
+            raise ValueError(f"not a 40-hex sha: {sha!r}")
+    if not names:
+        return frozenset()
+    answers = _git(repo, "cat-file", "--batch-check=%(objecttype)",
+                   input="".join(f"{sha}^{{commit}}\n" for sha in names)).stdout.splitlines()
+    # one answer a line, in order; any other than "commit" ends in " missing"
+    return frozenset(sha for sha, answer in zip(names, answers) if answer == "commit")
 
 
 class CloneScope:

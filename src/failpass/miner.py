@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import logging
 import re
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
-from .connector import CommitProbe, FixtureConnector, commit_exists
+from .connector import FixtureConnector, commit_exists, known_commits
 from .model import (
     Availability,
     Build,
@@ -74,21 +73,35 @@ def extract_fail_pass_build_pairs(group: BuildGroup) -> list[tuple[Build, Build]
     ]
 
 
+def _named_commits(build: Build) -> tuple[str, ...]:
+    """The commits git history must hold to rebuild the build, empty when it records none.
+
+    A push build names its trigger; a PR build names the trigger and base
+    of its phantom-merge message, in that order.
+    """
+    if build.event is Event.PUSH:
+        return () if build.raw_trigger_sha is None else (build.raw_trigger_sha,)
+    match = MERGE_MESSAGE_RE.search(build.merge_message or "")
+    return () if match is None else match.groups()
+
+
 def assign_commits(build: Build, repo, archive_has) -> CommitCoordinates:
     """Recover commit coordinates and decide availability for one build.
 
-    ``repo`` is the clone's path, an open ``CommitProbe`` on it, or None.
+    ``repo`` is the clone's path, its ``known_commits``, or None.
     ``archive_has(sha) -> bool`` probes the code-host zip archive. For PR
     builds the service-reported sha is the phantom merge; the trigger and
     base shas live in the stored merge commit message. Availability holds
     when the state can be rebuilt from git history (preferred) or fetched
     from the archive.
     """
+    shas = _named_commits(build)
+    in_git = repo is not None and bool(shas) and all(commit_exists(repo, sha) for sha in shas)
     if build.event is Event.PUSH:
-        t = build.raw_trigger_sha
-        if t is None:
+        if not shas:
             return CommitCoordinates(trigger_sha=None, reason="no trigger sha recorded")
-        if repo is not None and commit_exists(repo, t):
+        (t,) = shas
+        if in_git:
             return CommitCoordinates(
                 trigger_sha=t,
                 availability=Availability.AVAILABLE,
@@ -104,11 +117,10 @@ def assign_commits(build: Build, repo, archive_has) -> CommitCoordinates:
 
     # pull request: recover trigger t and base b from the phantom-merge message
     m = build.raw_trigger_sha
-    match = MERGE_MESSAGE_RE.search(build.merge_message or "")
-    if match is None:
+    if not shas:
         return CommitCoordinates(trigger_sha=None, merge_sha=m, reason="merge message unparsed")
-    t, b = match.group(1), match.group(2)
-    if repo is not None and commit_exists(repo, t) and commit_exists(repo, b):
+    t, b = shas
+    if in_git:
         return CommitCoordinates(
             trigger_sha=t,
             base_sha=b,
@@ -196,15 +208,14 @@ def mine_history(project: Project, history: list[Build], assign) -> list[JobPair
 def mine(slug: str, connector: FixtureConnector, language: Optional[str] = None) -> list[JobPair]:
     """Run the full mining pipeline for one project.
 
-    Commit lookups share one ``git cat-file --batch-check`` process, which
-    ends before this returns or raises.
+    Every commit the history names is looked up in one ``known_commits`` call.
     """
     history = connector.fetch_build_history(slug)
     repo = connector.repo_path(slug)
+    known = None if repo is None else known_commits(repo, (sha for b in history for sha in _named_commits(b)))
     archive_has = lambda sha: connector.archive_has(slug, sha)
     project = Project(slug=slug, primary_language=language or _guess_language(history) or "other")
-    with CommitProbe(repo) if repo is not None else nullcontext() as probe:
-        return mine_history(project, history, lambda b: assign_commits(b, probe, archive_has))
+    return mine_history(project, history, lambda b: assign_commits(b, known, archive_has))
 
 
 def _guess_language(history: list[Build]) -> Optional[str]:

@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Optional
 
-_SHA_RE = re.compile(r"^[0-9a-f]{40}$")
+SHA_RE = re.compile(r"^[0-9a-f]{40}$")
 
 
 class Status(str, Enum):
@@ -140,7 +140,7 @@ class CommitCoordinates:
     def __post_init__(self):
         for name in ("trigger_sha", "base_sha", "merge_sha"):
             sha = getattr(self, name)
-            if sha is not None and not _SHA_RE.fullmatch(sha):
+            if sha is not None and not SHA_RE.fullmatch(sha):
                 raise ValueError(f"{name} is not a 40-hex sha: {sha!r}")
         if self.availability is Availability.AVAILABLE and self.recovery_source is RecoverySource.NONE:
             raise ValueError("available coordinates need a recovery source")
@@ -262,7 +262,7 @@ class Build:
             raise ValueError("pr_number must be present exactly for pull_request events")
         if self.status is Status.PASSED and any(j.status is not Status.PASSED for j in self.jobs):
             raise ValueError("a passed build cannot contain non-passed jobs")
-        if self.raw_trigger_sha is not None and not _SHA_RE.fullmatch(self.raw_trigger_sha):
+        if self.raw_trigger_sha is not None and not SHA_RE.fullmatch(self.raw_trigger_sha):
             raise ValueError(f"trigger_sha is not a 40-hex sha: {self.raw_trigger_sha!r}")
 
     @property

@@ -1,16 +1,18 @@
-"""The batch commit probe answers exactly as ``git cat-file -e``, and mining leaves no git process behind."""
+"""``known_commits`` answers exactly as one-shot ``commit_exists``, and mining starts one git process per project."""
 
 from __future__ import annotations
 
 import hashlib
+import re
 import subprocess
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from failpass import miner
-from failpass.connector import CommitProbe, ConnectorError, FixtureConnector, commit_exists
-from conftest import git, make_repo
+from failpass.connector import ConnectorError, FixtureConnector, commit_exists, known_commits
+from failpass.model import RecoverySource
+from conftest import build_record, fake_sha, git, job_record, make_repo, make_zip, write_project
 
 IDENT = "A U Thor <a@u> 1500000000 +0000"
 
@@ -69,97 +71,88 @@ def _build_world(repo):
     objects = [*shas, unreachable, tree, blob, tag_object, loose_commit, *written]
     return {
         "repo": repo, "commits": shas, "unreachable": unreachable, "tree": tree, "blob": blob,
-        "tag_object": tag_object, "loose_commit": loose_commit, "twin_prefix": written[0][:4],
-        "objects": objects, "refs": ["HEAD", "master", "topic", "v1", "refs/heads/topic", "refs/tags/v1"],
+        "tag_object": tag_object, "loose_commit": loose_commit, "prefix_blobs": written, "objects": objects,
     }
-
-
-def _outcome(lookup, name):
-    try:
-        return lookup(name)
-    except Exception as exc:  # the exception itself must match, not only the answer
-        return type(exc), str(exc)
 
 
 class TestAnswers:
     def test_each_kind_of_name_through_one_process(self, world, monkeypatch):
-        started = _record_cat_file(monkeypatch)
+        started = _record_git(monkeypatch)
         repo = world["repo"]
         expected = {
             world["commits"][0]: True,
-            world["commits"][1][:7]: True,
+            world["commits"][1]: True,
             world["unreachable"]: True,
             world["tag_object"]: True,
-            "v1": True,
-            world["loose_commit"][:4]: True,
+            world["loose_commit"]: True,
             world["tree"]: False,
             world["blob"]: False,
             "0" * 40: False,
-            world["twin_prefix"]: False,
-            "no-such-branch": False,
+            **dict.fromkeys(world["prefix_blobs"], False),
         }
-        with CommitProbe(repo) as probe:
-            answers = {name: probe.exists(name) for name in expected}
-        assert answers == expected
+        names = [*expected, *expected]  # each sent once all the same
+        assert known_commits(repo, names) == {name for name, found in expected.items() if found}
         assert [p.args[-1] for p in started] == ["--batch-check=%(objecttype)"]
         assert {name: commit_exists(repo, name) for name in expected} == expected
 
     def test_missing_clone_raises(self, tmp_path):
         repo = tmp_path / "repo"
         sha = make_repo(repo, [{"f": "1\n"}])[0]
-        with CommitProbe(repo) as probe:
-            assert probe.exists(sha)
-            repo.rename(tmp_path / "moved")
-            with pytest.raises(ConnectorError):
-                probe.exists(sha)
+        assert known_commits(repo, [sha]) == {sha}
+        repo.rename(tmp_path / "moved")
+        command = f"git -C {repo} cat-file '--batch-check=%(objecttype)'"
+        with pytest.raises(ConnectorError, match=re.escape(f"{command} exited with 128: fatal: cannot change to")):
+            known_commits(repo, [sha])
 
-    def test_git_dying_on_a_name_does_not_end_the_probe(self, world):
-        repo, sha = world["repo"], world["commits"][0]
-        with CommitProbe(repo) as probe:
-            # master has no upstream: git dies on the name, in batch mode too
-            assert probe.exists("@{upstream}") is False
-            assert probe.exists(sha) is True
+    @pytest.mark.parametrize("name", ["HEAD", "master", "v1", "abc1234", "0" * 39, "0" * 41, "A" * 40,
+                                      "0" * 39 + "\n", " " + "0" * 40, "0" * 40 + "^{commit}"])
+    def test_a_name_that_is_no_sha_raises_before_any_process(self, world, monkeypatch, name):
+        started = _record_git(monkeypatch)
+        with pytest.raises(ValueError, match="not a 40-hex sha"):
+            known_commits(world["repo"], [world["commits"][0], name])
+        assert started == []
 
-
-SUFFIXES = ["", "^{}", "^{commit}", "^{tree}", "^", "~1", ":", ":f", "@{0}", "@{-1}", "@{upstream}",
-            " ", "\t", "\n", "\r", "\0", "\nHEAD"]
-PREFIXES = ["", " ", "-", ":", ":/", "\n", "^", "\ud800"]
+    def test_no_name_starts_no_process(self, world, monkeypatch):
+        started = _record_git(monkeypatch)
+        assert known_commits(world["repo"], []) == frozenset()
+        assert started == []
 
 
 @st.composite
-def names(draw, world):
-    known = world["objects"] + world["refs"]
-    base = draw(st.one_of(
-        st.sampled_from(known),
-        st.builds(lambda sha, n: sha[:n], st.sampled_from(world["objects"]), st.integers(1, 40)),
-        st.sampled_from(known).map(str.upper),
-        st.text(st.sampled_from("0123456789abcdef ^{}:~@/-\n\r\t\0xHEAD"), max_size=12),
-        st.text(max_size=8),
-    ))
-    return draw(st.sampled_from(PREFIXES)) + base + draw(st.sampled_from(SUFFIXES))
+def shas(draw, world):
+    """A 40-hex name: one of the fixture's objects, or any other."""
+    return draw(st.one_of(st.sampled_from(world["objects"]),
+                          st.text(st.sampled_from("0123456789abcdef"), min_size=40, max_size=40)))
 
 
 @pytest.fixture(scope="module")
-def shared_probe(world):
-    with CommitProbe(world["repo"]) as probe:
-        yield probe
+def one_shot(world):
+    """``commit_exists(repo, sha)`` on the world's clone, each name looked up once."""
+    answers = {}
+
+    def lookup(sha):
+        if sha not in answers:
+            answers[sha] = commit_exists(world["repo"], sha)
+        return answers[sha]
+    return lookup
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(derandomize=True, deadline=None, max_examples=150)
 @given(data=st.data())
-def test_batch_probe_agrees_with_one_shot(world, shared_probe, data):
-    name = data.draw(names(world))
-    assert _outcome(shared_probe.exists, name) == _outcome(lambda n: commit_exists(world["repo"], n), name)
+def test_batch_probe_agrees_with_one_shot(world, one_shot, data):
+    names = data.draw(st.lists(shas(world), max_size=8))
+    names += data.draw(st.lists(st.sampled_from(names), max_size=3)) if names else []  # repeated names
+    assert known_commits(world["repo"], names) == {name for name in names if one_shot(name)}
 
 
-def _record_cat_file(monkeypatch) -> list[subprocess.Popen]:
-    """Every ``git cat-file`` process started from now on, one-shot or batch."""
+def _record_git(monkeypatch) -> list[subprocess.Popen]:
+    """Every git process started from now on."""
     started = []
 
     class Recording(subprocess.Popen):
         def __init__(self, args, *rest, **kwargs):
             super().__init__(args, *rest, **kwargs)
-            if "cat-file" in args:
+            if args[0] == "git":
                 started.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", Recording)
@@ -171,11 +164,11 @@ class TestMiningLifecycle:
         calls = []
         real = miner.commit_exists
         monkeypatch.setattr(miner, "commit_exists", lambda repo, sha: calls.append(sha) or real(repo, sha))
-        started = _record_cat_file(monkeypatch)
+        started = _record_git(monkeypatch)
         pairs = miner.mine("acme/widgets", FixtureConnector(widgets_root), language="java")
         assert len(pairs) == 2
         assert len(calls) > 1
-        assert len(started) == 1
+        assert [p.args[-1] for p in started] == ["--batch-check=%(objecttype)"]
         assert started[0].returncode is not None
 
     def test_process_gone_when_mining_raises(self, widgets_root, monkeypatch):
@@ -189,8 +182,23 @@ class TestMiningLifecycle:
             return seen[-1]
 
         monkeypatch.setattr(miner, "assign_commits", assign_then_fail)
-        started = _record_cat_file(monkeypatch)
+        started = _record_git(monkeypatch)
         with pytest.raises(RuntimeError, match="stop"):
             miner.mine("acme/widgets", FixtureConnector(widgets_root), language="java")
         assert len(started) == 1
         assert started[0].returncode is not None
+
+    def test_no_process_for_a_project_without_a_clone(self, tmp_path, monkeypatch):
+        cfg = {"language": "python", "script": ["sh run_tests.sh"]}
+        shas = fake_sha(0x5A1), fake_sha(0x5A2)
+        write_project(tmp_path, "acme/zipped", [
+            build_record(1 + k, status, "push", "master", f"2017-01-0{1 + k}T00:00:00Z",
+                         [job_record(10 + k, status, cfg)], trigger_sha=sha)
+            for k, (status, sha) in enumerate(zip(("failed", "passed"), shas))
+        ])
+        for sha in shas:
+            make_zip(tmp_path / "acme" / "zipped", sha, {"run_tests.sh": "exit 0\n"})
+        started = _record_git(monkeypatch)
+        (pair,) = miner.mine("acme/zipped", FixtureConnector(tmp_path))
+        assert pair.failed_commits.recovery_source is RecoverySource.ARCHIVE
+        assert started == []

@@ -188,3 +188,13 @@ def test_timed_waits_go_through_run_with_timeout():
         if (positional and len(node.args) >= positional) or any(kw.arg == "timeout" for kw in node.keywords):
             timed.append(f"{name}:{node.lineno}")
     assert timed == []
+
+
+def test_processes_that_outlive_a_call_start_only_in_run_with_timeout():
+    """In src, ``subprocess.Popen`` appears only inside ``runtime._run_with_timeout``: every other
+    process is a ``subprocess.run`` that has ended when the call returns, so no process outlives it."""
+    popens = [(name, scope) for name, scope, node in src_nodes()
+              if isinstance(node, ast.Attribute) and node.attr == "Popen"
+              or isinstance(node, ast.Name) and node.id == "Popen"
+              or isinstance(node, ast.alias) and node.name == "Popen"]
+    assert popens == [("runtime.py", "_run_with_timeout")]

@@ -4,7 +4,9 @@ Each case copies a fixture of five pairs (the three of ``e2e_root``, one
 built from archive zips and one phantom merge), breaks one pair's data, and
 runs ``failpass reproduce --repeats 1`` over all five. The broken pair gets
 an unreproducible record with a reason; every other pair's record and
-attempt logs are byte for byte those of a run on the unbroken copy.
+attempt logs are byte for byte those of a run on the unbroken copy. A
+project removed after ``filter`` is named in one ``failpass:`` line on
+stderr, and its pairs run with no job configuration.
 """
 
 import json
@@ -144,9 +146,14 @@ def log_in_two_projects(fixture, verdict):
     return verdict
 
 
+def removed_project(fixture, verdict):
+    shutil.rmtree(fixture / verdict["pair"]["project"]["slug"])
+    return verdict
+
+
 @pytest.mark.parametrize("fault", [overwrite_archive, missing_trigger, missing_base, removed_repo,
-                                   log_in_two_projects], ids=lambda f: f.__name__)
-def test_a_fault_in_one_pair_stays_in_that_pair(world, fault, tmp_path, monkeypatch):
+                                   log_in_two_projects, removed_project], ids=lambda f: f.__name__)
+def test_a_fault_in_one_pair_stays_in_that_pair(world, fault, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
     fixture, verdicts, (clean_records, clean_logs) = world
     assert [json.loads(clean_records[pair_id(v)])["stability"] for v in verdicts] == [
@@ -159,7 +166,12 @@ def test_a_fault_in_one_pair_stays_in_that_pair(world, fault, tmp_path, monkeypa
         if edited is None:  # the fault does not apply to this pair's data
             continue
         faulted += 1
+        capsys.readouterr()
         records, logs = run(copy, [*verdicts[:k], edited, *verdicts[k + 1:]], tmp_path / f"run-{k}")
+        # only a project that is gone is worth a line of its own; every other fault is the pair's reason
+        notes = [line for line in capsys.readouterr().err.splitlines() if line.startswith("failpass:")]
+        slug = verdict["pair"]["project"]["slug"]
+        assert notes == ([f"failpass: project not found: {slug}"] if fault is removed_project else [])
         target = pair_id(verdict)
         assert list(records) == list(clean_records)
         for pid in clean_records:
