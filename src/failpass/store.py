@@ -4,22 +4,23 @@ The store is an append-only JSON-lines file under an advisory file lock.
 Beside it, the sidecar ``<store>.idx`` is a derived key directory: every
 queryable scalar of every record, each record's error-tag names, where its
 line lies in the store, and whether that line is already the codec's
-encoding. Queries and statistics run on the sidecar and check and parse
-only the columns they use; a query reads each hit's line once, with one
-``pread``, and decodes only those lines that are not the codec's encoding.
-The sidecar is trusted only while its stamp, the store's (inode, size,
-mtime_ns), matches, its header passes its CRC-32 and each column a read
-uses passes its own; on any mismatch it is rebuilt from the store, so
-deleting it is always safe. A last line without a newline that does not
-parse, as a crash mid-append leaves, is skipped by reads and cut off by the
-next append. Diff metrics are git's numstat of two trees (a modified line
-is one addition plus one deletion).
+encoding. Each column is typed: int64 words, dictionary codes, or a JSON
+list. Queries and statistics read, check and parse only the columns they
+use, and a query term runs on a column's encoding; a query reads each
+hit's line once, with one ``pread``, and decodes only those lines that are
+not the codec's encoding. The sidecar is trusted only while its stamp, the
+store's (inode, size, mtime_ns), matches, its header passes its CRC-32 and
+each column a read uses passes its own and holds a value a record; on any
+mismatch it is rebuilt from the store, so deleting it is always safe. A
+last line without a newline that does not parse, as a crash mid-append
+leaves, is skipped by reads and cut off by the next append. Diff metrics
+are git's numstat of two trees (a modified line is one addition plus one
+deletion).
 """
 
 from __future__ import annotations
 
 import bisect
-import binascii
 import collections
 import contextlib
 import dataclasses
@@ -36,7 +37,7 @@ import zlib
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .model import json_record, replace_file
 
@@ -127,10 +128,22 @@ def compute_diff_metrics(failing_tree: Path, passing_tree: Path) -> tuple[int, i
 
 # --- store -----------------------------------------------------------------
 
-INDEX_VERSION = 3
+INDEX_VERSION = 4
 
-# the columns of line positions, held as array('Q') and stored as 16 hex digits (a little-endian u64) a row
-_POSITIONS = ("offset", "length")
+# The kinds of sidecar column, each chosen from the values the column holds when it is written, and the
+# parts each is stored as, one sidecar line a part: None for a compact JSON list, else the array typecode
+# of one little-endian word a row.
+_PARTS = {
+    "int": ("q",),  # every value an int (not a bool) within int64
+    "dict": (None, "I"),  # every value a str, None or bool: the distinct values, then each row's code
+    "json": (None,),  # any other column
+}
+_INT64 = range(-2 ** 63, 2 ** 63)
+# a dict column holds at most this many distinct values, or half its rows where that is more: nearly distinct
+# strings are smaller and scan faster as a JSON list, and an append reads the dictionary to reuse an entry
+_DICT_FLOOR = 64
+# the sidecar's first line: the size of the header line and its CRC-32, as 8 hex digits each
+_PROLOGUE = len(b"%08x %08x\n" % (0, 0))
 
 
 class StoreError(Exception):
@@ -190,31 +203,176 @@ def _verbatim(raw: bytes, d: dict) -> bool:
         return False
 
 
-def _encode(name: str, values) -> bytes:
-    """The sidecar line of one column: a JSON string of hex digits for positions, else a compact JSON list."""
-    if name in _POSITIONS:
-        values = array("Q", values)
-        if sys.byteorder == "big":
-            values.byteswap()
-        return b'"%s"' % binascii.b2a_hex(values)
-    return json.dumps(values, separators=(",", ":")).encode()
+def _dict_limit(rows: int) -> int:
+    """The most distinct values a dict column of ``rows`` values holds."""
+    return max(_DICT_FLOOR, rows // 2)
 
 
-def _encode_item(name: str, value, first: bool) -> bytes:
-    """What one more value adds to a column's sidecar line, just before its closing byte."""
-    if name in _POSITIONS:
-        return binascii.b2a_hex(value.to_bytes(8, "little"))
-    return (b"" if first else b",") + json.dumps(value, separators=(",", ":")).encode()
+def _kind(values) -> str:
+    """The kind chosen for a column of ``values``; ``_Stored.encode`` writes an int past int64 as json."""
+    types = set(map(type, values))
+    if types <= {int}:
+        return "int"
+    if types <= {str, bool, type(None)} and len(set(values)) <= _dict_limit(len(values)):
+        return "dict"
+    return "json"
 
 
-def _decode(name: str, line) -> list | array:
-    """The values of a column's sidecar line; ValueError if it does not parse."""
-    if name in _POSITIONS:
-        values = array("Q", binascii.a2b_hex(line[1:-1]))
-        if sys.byteorder == "big":
-            values.byteswap()
+def _json(value) -> bytes:
+    return json.dumps(value, separators=(",", ":")).encode()
+
+
+def _words(typecode: str, values) -> bytes:
+    words = array(typecode, values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
+
+
+def _unwords(typecode: str, data) -> array:
+    """The little-endian words of ``data``; ValueError if it is no whole number of them."""
+    words = array(typecode)
+    words.frombytes(data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
+
+
+def _closing(typecode) -> bytes:
+    """The bytes that end a part line; its CRC-32 leaves them out, so an append extends it from its running value."""
+    return b"]\n" if typecode is None else b"\n"
+
+
+class _Coded(NamedTuple):
+    """A dict column as parsed: its dictionary and one code, an index into it, a row."""
+    entries: list
+    codes: array
+
+
+@dataclass
+class _Stored:
+    """One column as the sidecar holds it: its kind, the size of its dictionary (0 unless ``dict``), its part
+    lines, newline included, and the CRC-32 of each without its closing bytes."""
+    kind: str
+    entries: int
+    parts: list
+    crcs: list
+
+    @classmethod
+    def encode(cls, values: list, kind: Optional[str] = None) -> "_Stored":
+        """``values`` as a column of ``kind``, by default the kind chosen from them."""
+        kind = kind or _kind(values)
+        entries = []
+        if kind == "int":
+            try:
+                bodies = [_words("q", values)]
+            except OverflowError:  # an int past int64
+                kind = "json"
+        if kind == "dict":
+            entries = list(dict.fromkeys(values))
+            code = dict(zip(entries, range(len(entries))))
+            bodies = [_json(entries), _words("I", map(code.__getitem__, values))]
+        elif kind == "json":
+            bodies = [_json(values)]
+        parts = [body + b"\n" for body in bodies]
+        crcs = [zlib.crc32(memoryview(part)[:len(part) - len(_closing(typecode))])
+                for typecode, part in zip(_PARTS[kind], parts)]
+        return cls(kind, len(entries), parts, crcs)
+
+    def extend(self, value, rows: int) -> bool:
+        """Append ``value`` to a column of ``rows`` values; False, and nothing changed, if it does not fit the kind.
+
+        An int or json column is extended unread. A dict column reads its
+        dictionary (ValueError if that fails its check) and takes the code of
+        the value's entry, adding the entry where it is new unless the
+        dictionary would then pass its limit.
+        """
+        if self.kind == "int":
+            if type(value) is not int or value not in _INT64:
+                return False
+            items = [_words("q", (value,))]
+        elif self.kind == "json":
+            items = [_json(value)]
+        elif value is not None and type(value) not in (str, bool):
+            return False
+        else:
+            entries = self._dictionary()
+            try:
+                items = [b"", _words("I", (entries.index(value),))]  # the dictionary as it is
+            except ValueError:  # a new entry
+                if self.entries >= _dict_limit(rows + 1):
+                    return False
+                items = [_json(value), _words("I", (self.entries,))]
+                self.entries += 1
+        for k, (typecode, item) in enumerate(zip(_PARTS[self.kind], items)):
+            if not item:
+                continue
+            part, closing = self.parts[k], _closing(typecode)
+            if typecode is None and len(part) > len(closing) + 1:  # a JSON list that holds an item already
+                item = b"," + item
+            self.parts[k] = b"".join((part[:len(part) - len(closing)], item, closing))
+            self.crcs[k] = zlib.crc32(item, self.crcs[k])
+        return True
+
+    def _part(self, k: int) -> list | array:
+        """Part ``k`` parsed; ValueError if it fails its check or does not parse."""
+        typecode, part = _PARTS[self.kind][k], self.parts[k]
+        closing = _closing(typecode)
+        body = part[:len(part) - len(closing)]
+        if part[len(body):] != closing or zlib.crc32(body) != self.crcs[k]:
+            raise ValueError("fails its CRC-32 check")
+        try:
+            return json.loads(bytes(part)) if typecode is None else _unwords(typecode, body)
+        except ValueError as exc:
+            raise ValueError(f"does not parse: {exc}") from None
+
+    def _dictionary(self) -> list:
+        """A dict column's entries; ValueError as ``_part``, or if they are not the header's count."""
+        entries = self._part(0)
+        if not isinstance(entries, list) or len(entries) != self.entries:
+            raise ValueError(f"holds no {self.entries}-entry dictionary")
+        return entries
+
+    def decode(self, rows: int) -> list | array | _Coded:
+        """The column's values: array('q') for int, _Coded for dict, a list for json.
+
+        ValueError if a part fails its check or does not parse, or the column does not hold ``rows`` values.
+        """
+        if self.kind != "dict":
+            values = self._part(0)
+            if not isinstance(values, (list, array)) or len(values) != rows:
+                raise ValueError(f"does not hold {rows} values")
+            return values
+        values = _Coded(self._dictionary(), self._part(1))
+        if len(values.codes) != rows or max(values.codes, default=-1) >= self.entries:
+            raise ValueError(f"holds no {rows} codes into its {self.entries}-entry dictionary")
         return values
-    return json.loads(bytes(line))
+
+
+def _at(values, rows) -> Sequence:
+    """``values[i]`` for each ``i`` of ``rows``, in order, gathered without Python code per row."""
+    if isinstance(rows, range):
+        return values[rows.start:rows.stop:rows.step]
+    if len(rows) > 1:
+        return operator.itemgetter(*rows)(values)
+    return [values[i] for i in rows]
+
+
+def _damaged(name: str, exc: ValueError) -> SidecarDamaged:
+    """The error of the sidecar column ``name`` failing its check or its parse with ``exc``."""
+    return SidecarDamaged(f"sidecar column {name!r} {exc}")
+
+
+class _Kept(dict):
+    """Dictionary code -> whether a term keeps its entry, the rule run on an entry at its code's first lookup."""
+
+    def __init__(self, entries: list, compare, rhs):
+        super().__init__()
+        self.entries, self.compare, self.rhs = entries, compare, rhs
+
+    def __missing__(self, code: int) -> bool:
+        keep = self[code] = _holds(self.entries[code], self.compare, self.rhs)
+        return keep
 
 
 class StoreIndex:
@@ -223,36 +381,44 @@ class StoreIndex:
     One column per field, holding a value per record in store order: every
     queryable scalar, under its dotted name and with the codec's default
     where the line lacks the key; ``error_tags``, each record's distinct
-    error-tag names; the ``offset`` and ``length`` of its line, as
-    ``array('Q')``; and ``verbatim``, whether that line, newline included,
-    is already what ``_line`` gives for its record, so a query may copy it.
-    ``stamp`` is the (st_ino, st_size, st_mtime_ns) of the store it
-    describes and ``end`` the bytes it covers; a torn last line lies past
-    ``end``.
+    error-tag names; the ``offset`` and ``length`` of its line; and
+    ``verbatim``, whether that line, newline included, is already what
+    ``_line`` gives for its record, so a query may copy it. ``stamp`` is
+    the (st_ino, st_size, st_mtime_ns) of the store it describes and
+    ``end`` the bytes it covers; a torn last line lies past ``end``.
 
-    The sidecar (format 3) is a JSON header line, one line per column and a
-    last line holding the CRC-32 of the header line. The header gives each
-    column line's size and the CRC-32 of that line without its closing byte
-    (``]``, or ``"`` for positions), so reading the header finds every
-    column without a scan, and an append extends a column's CRC from its
-    running value without reading the column. A column is a compact JSON
-    list, except that ``offset`` and ``length`` are one JSON string of 16
-    hex digits a row, each a little-endian u64, which one ``a2b_hex`` turns
-    into an array. Columns read from a sidecar stay slices of its text until
-    first used and are checked just before they are parsed, so a read checks
-    and parses only the columns it needs.
+    The sidecar (format 4) is a prologue line holding the size and CRC-32
+    of the JSON header line, the header line, then each column's part
+    lines. A column is written as one of three kinds, chosen from the
+    values it holds (Abadi, Madden & Ferreira, SIGMOD 2006):
+
+    - ``int``, every value an int (not a bool) within int64: one line of
+      little-endian int64 words, which one ``frombytes`` turns into an
+      ``array('q')``;
+    - ``dict``, every value a str, None or bool, with no more distinct
+      values than ``_dict_limit`` allows: a compact JSON list of the
+      distinct values, then a line of one little-endian uint32 code a row;
+    - ``json``, any other column: a compact JSON list.
+
+    The header gives each column's kind, the size of its dictionary, and
+    the size of each part line and its CRC-32 without its closing bytes
+    (``]`` and the newline, or the newline alone), so the header finds
+    every column without a scan and an append extends a part and its CRC
+    from the running value; it reads no part but a dictionary. A column
+    read from a sidecar is checked just before it is first parsed, against
+    its CRCs and against the header's row count; a query term runs on its
+    encoding.
     """
 
-    def __init__(self, stamp=(), end: int = 0, rows: int = 0, columns: Optional[dict] = None,
-                 crcs: Optional[dict] = None):
+    def __init__(self, stamp=(), end: int = 0, rows: int = 0, stored: Optional[dict] = None):
         self.stamp = list(stamp)
         self.end = end
         self.rows = rows
-        # field -> its values, or its sidecar line (bytes or a view of the sidecar) until first use
-        self._columns = columns if columns is not None else {
-            name: array("Q") if name in _POSITIONS else [] for name in _index_fields()}
-        # field -> the CRC-32 of its sidecar line without the closing byte, while the column is that line
-        self._crcs = crcs if crcs is not None else {}
+        # field -> the column as the sidecar holds it, while that is still the column's encoding
+        self._stored = {} if stored is None else stored
+        # field -> its values, in field order: a list where built from records, else as its sidecar column
+        # parses, or None until then
+        self._values = {name: [] if stored is None else None for name in _index_fields()}
 
     @classmethod
     def of(cls, records: Iterable[ArtifactMetadata]) -> "StoreIndex":
@@ -262,22 +428,58 @@ class StoreIndex:
             index.add(r.to_dict(), 0, 0, False)
         return index
 
-    def column(self, name: str) -> list | array:
-        """The values of one field; SidecarDamaged if its sidecar line fails its check or does not parse."""
-        values = self._columns[name]
-        if name in self._crcs:
-            closing = b'"' if name in _POSITIONS else b"]"
-            if zlib.crc32(values[:-1]) != self._crcs[name] or values[-1:] != closing:
-                raise SidecarDamaged(f"sidecar column {name!r} fails its CRC-32 check")
+    def _parsed(self, name: str) -> list | array | _Coded:
+        """One field's values as held: parsed from the sidecar at first use; KeyError for a column not read."""
+        values = self._values.get(name)
+        if values is None:
             try:
-                values = self._columns[name] = _decode(name, values)
+                values = self._values[name] = self._stored[name].decode(self.rows)
             except ValueError as exc:
-                raise SidecarDamaged(f"sidecar column {name!r}: {exc}") from None
-            del self._crcs[name]
+                raise _damaged(name, exc) from None
         return values
 
+    def check(self, *names: str) -> None:
+        """Check and parse the columns of ``names``; SidecarDamaged if one fails its check or does not parse."""
+        for name in names:
+            self._parsed(name)
+
+    def column(self, name: str) -> list | array:
+        """The values of one field, an array('q') for an int column; SidecarDamaged as ``check``."""
+        values = self._parsed(name)
+        return list(map(values.entries.__getitem__, values.codes)) if isinstance(values, _Coded) else values
+
+    def at(self, name: str, rows) -> Sequence:
+        """The values of one field at ``rows``, in order."""
+        values = self._parsed(name)
+        if isinstance(values, _Coded):
+            return list(map(values.entries.__getitem__, _at(values.codes, rows)))
+        return _at(values, rows)
+
+    def select(self, name: str, rows, compare, rhs) -> list[int]:
+        """The ``rows`` whose value of ``name`` meets one term, in order: ``_select`` on the column's encoding.
+
+        On an int column each comparison is made through ``map``. On a dict
+        column the rule runs once per dictionary entry, and rows are kept by
+        their codes. Where it refuses an entry, it runs only on the entries
+        that a row of ``rows`` holds, so a term raises just as ``_select``
+        does: when a row it is given holds a value the comparison refuses.
+        """
+        values = self._parsed(name)
+        if isinstance(values, array):
+            return list(itertools.compress(rows, map(compare, _at(values, rows), itertools.repeat(rhs))))
+        if not isinstance(values, _Coded):
+            return _select(values, rows, compare, rhs)
+        kept = _Kept(values.entries, compare, rhs)
+        return list(itertools.compress(rows, map(kept.__getitem__, _at(values.codes, rows))))
+
     def add(self, d: dict, offset: int, length: int, verbatim: bool) -> None:
-        """Append the row of one store line's JSON object; KeyError if it lacks a required field."""
+        """Append the row of one store line's JSON object; KeyError if it lacks a required field.
+
+        A column still held as sidecar lines takes a value that fits its kind
+        there, unread but for a dict column's dictionary. A value it does not
+        fit has it parsed and written again in the kind chosen for its values.
+        SidecarDamaged if a part it reads fails its check.
+        """
         values = []
         for name, (outer, key, _, default) in _queryable().items():
             value = (d[outer] if outer else d).get(key, default)
@@ -285,61 +487,86 @@ class StoreIndex:
                 raise KeyError(name)
             values.append(value)
         values += [list(dict.fromkeys(name for name, _ in d.get("error_tags", ()))), offset, length, verbatim]
-        for (name, column), value in zip(self._columns.items(), values):
-            if name in self._crcs:  # extend the line and its CRC rather than parse it
-                item = _encode_item(name, value, first=not self.rows)
-                self._columns[name] = b"".join((column[:-1], item, column[-1:]))
-                self._crcs[name] = zlib.crc32(item, self._crcs[name])
-            else:
+        if not self._stored:  # every column a list, in field order
+            for column, value in zip(self._values.values(), values):
                 column.append(value)
+            self.rows += 1
+            return
+        for name, value in zip(_index_fields(), values):
+            stored, parsed = self._stored.get(name), self._values[name]
+            if stored is None:
+                parsed.append(value)
+                continue
+            try:
+                extended = stored.extend(value, self.rows)
+            except ValueError as exc:
+                raise _damaged(name, exc) from None
+            if extended:
+                self._values[name] = None  # parsed again, from the lines as extended, at its next use
+            else:  # parsed as it stands, then held as a list
+                parsed = self._values[name] = list(self.column(name))
+                del self._stored[name]
+                parsed.append(value)
         self.rows += 1
 
     def dump(self) -> list:
-        """Sidecar chunks: a JSON header line, one line per field, then the CRC-32 of the header line."""
-        lines, crcs = [], []
-        for name, values in self._columns.items():
-            if name in self._crcs:
-                crcs.append(self._crcs[name])
-            else:
-                values = _encode(name, values)
-                crcs.append(zlib.crc32(memoryview(values)[:-1]))
-            lines.append(values)
+        """Sidecar chunks: the prologue, the JSON header line, then each field's part lines."""
+        columns = [self._stored.get(name) or _Stored.encode(self._values[name]) for name in _index_fields()]
+        # the size of each part line in order, and its CRC-32, as the hex of little-endian uint32 words: a
+        # JSON list of numbers would take twice as long to parse
         head = {"version": INDEX_VERSION, "stamp": self.stamp, "end": self.end, "rows": self.rows,
-                "fields": list(self._columns), "sizes": [len(line) for line in lines], "crcs": crcs}
-        chunks = [json.dumps(head).encode() + b"\n"]
-        for line in lines:
-            chunks += [line, b"\n"]
-        return chunks + [b"%d\n" % zlib.crc32(chunks[0])]
+                "fields": _index_fields(), "kinds": [c.kind for c in columns], "entries": [c.entries for c in columns],
+                "sizes": _words("I", (len(p) for c in columns for p in c.parts)).hex(),
+                "crcs": _words("I", (crc for c in columns for crc in c.crcs)).hex()}
+        line = _json(head) + b"\n"
+        return [b"%08x %08x\n" % (len(line), zlib.crc32(line)), line, *(p for c in columns for p in c.parts)]
 
     @classmethod
     def parse(cls, data: bytes, stamp: list) -> Optional["StoreIndex"]:
         """The index in sidecar bytes if its header is whole, of this version and for ``stamp``; else None.
 
-        Only the header is checked here; each column stays a view of ``data`` until ``column`` checks and
-        parses it.
+        Only the header is checked here; each column stays a view of ``data`` until it is checked and parsed
+        at its first use.
         """
         view = memoryview(data)
+        return cls._read(lambda at, n: view[at:at + n], len(data), stamp, _index_fields())
+
+    @classmethod
+    def read(cls, fd: int, stamp: list, fields: Iterable[str]) -> Optional["StoreIndex"]:
+        """As ``parse``, from the sidecar open as ``fd``, of which it reads the header and the lines of
+        ``fields`` only, with a ``pread`` each; another column is not in the index."""
+        return cls._read(lambda at, n: os.pread(fd, n, at), os.fstat(fd).st_size, stamp, fields)
+
+    @classmethod
+    def _read(cls, read, size: int, stamp: list, fields: Iterable[str]) -> Optional["StoreIndex"]:
+        """The index framed by the header that ``read(offset, n)`` gives, holding the lines of ``fields``."""
         try:
-            start = data.index(b"\n") + 1  # where the first column starts
-            tail = data.rindex(b"\n", 0, -1) + 1  # where the CRC line starts
-            if data[-1:] != b"\n" or int(data[tail:-1]) != zlib.crc32(view[:start]):
+            prologue = bytes(read(0, _PROLOGUE))
+            head_size, crc = int(prologue[:8], 16), int(prologue[9:17], 16)
+            line = bytes(read(_PROLOGUE, head_size))
+            if prologue[8:9] != b" " or prologue[17:] != b"\n" or line[-1:] != b"\n" or zlib.crc32(line) != crc:
                 return None
-            h = json.loads(data[:start])
-            fields = _index_fields()
-            if (h["version"] != INDEX_VERSION or h["stamp"] != stamp or h["fields"] != fields
-                    or len(h["sizes"]) != len(fields) or len(h["crcs"]) != len(fields)):
+            h = json.loads(line)
+            names = _index_fields()
+            if h["version"] != INDEX_VERSION or h["stamp"] != stamp or h["fields"] != names:
                 return None
-            columns = {}
-            for name, size in zip(fields, h["sizes"]):
-                end = start + size
-                if size < 1 or data[end:end + 1] != b"\n":
-                    return None
-                columns[name] = view[start:end]
-                start = end + 1
-            if start != tail:  # more lines than the fields
+            kinds, entries = h["kinds"], h["entries"]
+            sizes, crcs = _unwords("I", bytes.fromhex(h["sizes"])), _unwords("I", bytes.fromhex(h["crcs"]))
+            # the index of each column's first part, and where each part line starts, then the end of the last
+            firsts = list(itertools.accumulate(map(len, map(_PARTS.__getitem__, kinds)), initial=0))
+            starts = list(itertools.accumulate(sizes, initial=_PROLOGUE + head_size))
+            if not (len(kinds) == len(entries) == len(names) and firsts[-1] == len(sizes) == len(crcs)
+                    and starts[-1] == size):  # cut short, or more than the columns
                 return None
-            return cls(stamp, h["end"], h["rows"], columns, dict(zip(fields, h["crcs"])))
-        except (ValueError, KeyError, TypeError):
+            stored = {}
+            for name in fields:
+                k = names.index(name)
+                first, last = firsts[k], firsts[k + 1]
+                lines = memoryview(read(starts[first], starts[last] - starts[first]))
+                parts = [lines[starts[j] - starts[first]:starts[j + 1] - starts[first]] for j in range(first, last)]
+                stored[name] = _Stored(kinds[k], entries[k], parts, list(crcs[first:last]))
+            return cls(stamp, h["end"], h["rows"], stored)
+        except (ValueError, LookupError, TypeError):
             return None
 
 
@@ -400,22 +627,32 @@ class ArtifactStore:
                 raise self._bad_line(line_no, exc) from None
         return index
 
-    def _index(self, fh, fields: Iterable[str] = (), save: bool = True) -> StoreIndex:
-        """The index of the open store with ``fields`` parsed.
+    def _index(self, fh, fields: Iterable[str], append: bool = False) -> StoreIndex:
+        """The index of the open store with ``fields`` checked and parsed.
 
         It is the sidecar's when its header matches the store and each of
-        ``fields`` passes its check, else one rebuilt from the store and, if
-        ``save``, saved.
+        ``fields`` passes its check. A read reads only the header and the
+        lines of ``fields``; an ``append``, which writes the sidecar again,
+        reads all of it. Else the index is rebuilt from the store, and saved
+        unless it is for an append, which saves it after adding its row.
         """
+        stamp = _stamp(fh)
         try:
-            index = StoreIndex.parse(self.index_path.read_bytes(), _stamp(fh))
-            for name in fields if index is not None else ():
-                index.column(name)
+            if append:
+                index = StoreIndex.parse(self.index_path.read_bytes(), stamp)
+            else:
+                fd = os.open(self.index_path, os.O_RDONLY)
+                try:
+                    index = StoreIndex.read(fd, stamp, fields)
+                finally:
+                    os.close(fd)
+            if index is not None:
+                index.check(*fields)
         except (OSError, SidecarDamaged):
             index = None
         if index is None:
             index = self._build(fh)
-            if save:
+            if not append:
                 self._save(index)
         return index
 
@@ -426,10 +663,9 @@ class ArtifactStore:
         except OSError:
             pass  # derived data: the next reader rebuilds it
 
-    def _decode(self, fd: int, index: StoreIndex, row: int) -> ArtifactMetadata:
-        """The record of one row, its line read with one ``pread`` from the store open as ``fd``."""
-        offset = index.column("offset")[row]
-        raw = os.pread(fd, index.column("length")[row], offset)
+    def _decode(self, fd: int, offset: int, length: int) -> ArtifactMetadata:
+        """The record of the line at ``offset``, read with one ``pread`` from the store open as ``fd``."""
+        raw = os.pread(fd, length, offset)
         try:
             return ArtifactMetadata.from_dict(json.loads(raw.decode()))
         except (ValueError, TypeError, KeyError) as exc:
@@ -440,15 +676,16 @@ class ArtifactStore:
         with self._locked() as fh:
             if fh is None:
                 return []
-            index = self._index(fh, _POSITIONS)
-            return [self._decode(fh.fileno(), index, row) for row in range(index.rows)]
+            index = self._index(fh, ("offset", "length"))
+            return [self._decode(fh.fileno(), offset, length)
+                    for offset, length in zip(index.column("offset"), index.column("length"))]
 
     def index(self, *fields: str) -> StoreIndex:
         """The store's index with ``fields`` (every field when none is named) checked and parsed under the lock.
 
-        For the statistics functions; empty when there is no store. A field
-        not named is checked at its first use, after the lock is released,
-        and raises SidecarDamaged if that check fails.
+        For the statistics functions; empty when there is no store. From a
+        sidecar only the columns of ``fields`` are read: another is not in
+        the index, and using it raises KeyError.
         """
         with self._locked() as fh:
             return StoreIndex() if fh is None else self._index(fh, fields or _index_fields())
@@ -460,7 +697,7 @@ class ArtifactStore:
         """
         line = _line(record).encode()
         with self._locked(exclusive=True) as fh:
-            index = self._index(fh, ("image_tag",), save=False)  # every other column is extended unread
+            index = self._index(fh, ("image_tag",), append=True)  # every other column is extended unread
             if record.image_tag in index.column("image_tag"):
                 raise DuplicateTagError(f"duplicate image_tag: {record.image_tag}")
             prefix = b""
@@ -473,21 +710,24 @@ class ArtifactStore:
             fh.write(prefix + line)
             fh.flush()
             d = json.loads(line)  # the row a rebuild would make from this line
-            index.add(d, index.end + len(prefix), len(line), _verbatim(line, d))
-            index.stamp = _stamp(fh)
-            index.end = index.stamp[1]
+            try:
+                index.add(d, index.end + len(prefix), len(line), _verbatim(line, d))
+                index.stamp = _stamp(fh)
+                index.end = index.stamp[1]
+            except SidecarDamaged:  # a column the new value does not fit failed its check when parsed
+                index = self._build(fh)
             self._save(index)
 
     def get(self, image_tag: str) -> Optional[ArtifactMetadata]:
         with self._locked() as fh:
             if fh is None:
                 return None
-            index = self._index(fh, ("image_tag", *_POSITIONS))
+            index = self._index(fh, ("image_tag", "offset", "length"))
             try:
                 row = index.column("image_tag").index(image_tag)
             except ValueError:
                 return None
-            return self._decode(fh.fileno(), index, row)
+            return self._decode(fh.fileno(), index.column("offset")[row], index.column("length")[row])
 
     def query(self, expression: str) -> list[str]:
         """The JSON line of each record matching ``expression``, newline included, in store order.
@@ -501,17 +741,17 @@ class ArtifactStore:
         with self._locked() as fh:
             if fh is None:
                 return []
-            index = self._index(fh, [*(fld for _, fld, _, _ in terms), *_POSITIONS, "verbatim"])
+            index = self._index(fh, [*(fld for _, fld, _, _ in terms), "offset", "length", "verbatim"])
             rows = range(index.rows)
             for term, fld, compare, rhs in terms:
                 try:
-                    rows = _select(index.column(fld), rows, compare, rhs)
+                    rows = index.select(fld, rows, compare, rhs)
                 except TypeError as exc:  # a stored value of another type than the field's, say a str in a number
                     raise StoreError(f"{self.path}: term {term!r}: TypeError: {exc}") from None
             fd = fh.fileno()
-            offset, length, verbatim = index.column("offset"), index.column("length"), index.column("verbatim")
-            return [os.pread(fd, length[i], offset[i]).decode() if verbatim[i] else _line(self._decode(fd, index, i))
-                    for i in rows]
+            hits = zip(*(index.at(name, rows) for name in ("offset", "length", "verbatim")))
+            return [os.pread(fd, length, offset).decode() if copy else _line(self._decode(fd, offset, length))
+                    for offset, length, copy in hits]
 
 
 # --- query sublanguage -----------------------------------------------------
@@ -566,12 +806,14 @@ def _parse_terms(expression: str) -> list[tuple]:
     return terms
 
 
-def _select(values: list, rows: Iterable[int], compare, rhs) -> list[int]:
-    """The ``rows`` whose value in ``values`` meets one term, in order.
+def _holds(value, compare, rhs) -> bool:
+    """The rule of every term on one value: None never matches, a str compares lower-cased, and any other
+    value compares as it is stored."""
+    return value is not None and compare(value.lower() if isinstance(value, str) else value, rhs)
 
-    The rule of every term: None never matches, a str compares lower-cased,
-    and any other value compares as it is stored.
-    """
+
+def _select(values: list, rows: Iterable[int], compare, rhs) -> list[int]:
+    """The ``rows`` whose value in ``values`` meets one term (``_holds``), in order."""
     return [i for i in rows
             if (v := values[i]) is not None and compare(v.lower() if isinstance(v, str) else v, rhs)]
 
@@ -629,9 +871,8 @@ def error_frequency_report(records: Iterable[ArtifactMetadata] | StoreIndex, lan
     same name counts once.
     """
     index = _as_index(records)
-    languages, tags = map(index.column, ERROR_REPORT_FIELDS)
     # the rows that the query term language=<language> keeps
-    rows = _select(languages, range(index.rows), operator.eq, language.lower())
-    freq = collections.Counter(itertools.chain.from_iterable(map(tags.__getitem__, rows)))
+    rows = index.select("primary_language", range(index.rows), operator.eq, language.lower())
+    freq = collections.Counter(itertools.chain.from_iterable(index.at("error_tags", rows)))
     ranked = sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))
     return ranked[:top_n]

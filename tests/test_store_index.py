@@ -1,11 +1,15 @@
 """The store's key-directory sidecar answers exactly as a full decode of the store does."""
 
 import contextlib
+import dataclasses
 import functools
 import io
+import itertools
 import json
+import math
 import os
 import re
+import struct
 import zlib
 from array import array
 
@@ -72,15 +76,16 @@ def oracle_match(d: dict, expression: str) -> bool:
     """
     for term in expression.split():
         name, op, text = ORACLE_TERM.fullmatch(term).groups()
+        field = ORACLE_ALIASES.get(name, name)
         value = d
-        for key in ORACLE_ALIASES.get(name, name).split("."):
+        for key in field.split("."):
             value = value[key]
         if value is None:
             return False
+        # the text is read as the field's type, and a stored value is compared as it is, a str lower-cased
+        text = (float(text) if "." in text else int(text)) if field in NUMERIC_FIELDS else text.lower()
         if isinstance(value, str):
-            value, text = value.lower(), text.lower()
-        else:
-            text = float(text) if "." in text else int(text)
+            value = value.lower()
         if not ORACLE_COMPARE[op](value, text):
             return False
     return True
@@ -93,6 +98,12 @@ def oracle_errors(records, language, top_n=10) -> list:
             for name in {n for n, _ in r.error_tags}:
                 freq[name] = freq.get(name, 0) + 1
     return sorted(freq.items(), key=lambda kv: (-kv[1], kv[0]))[:top_n]
+
+
+def flat(record: ArtifactMetadata) -> dict:
+    """A record's JSON object, with each side's keys also under their dotted names."""
+    d = record.to_dict()
+    return d | {f"{side}.{key}": value for side in ("failed", "passed") for key, value in d[side].items()}
 
 
 def raw_line(record: ArtifactMetadata, drop=()) -> bytes:
@@ -135,11 +146,25 @@ terms = st.sampled_from((
 ))
 queries = st.lists(terms, min_size=1, max_size=3).map(" ".join)
 DROPPABLE = ("num_changes", "error_tags", "num_files_changed", "pr_number", "branch")
+# a field and a value that a column of another kind cannot take, so an append of it changes the column's kind
+RETYPES = (("num_changes", 2 ** 63), ("num_changes", -2 ** 63 - 1), ("num_changes", 2.5), ("pr_number", None),
+           ("pr_number", 7), ("num_files_changed", True), ("failed.num_tests_failed", True), ("branch", 5),
+           ("category", 3))
+
+
+def retyped(record: ArtifactMetadata, field: str, value) -> ArtifactMetadata:
+    """``record`` with one dotted field set to ``value``."""
+    outer, _, key = field.rpartition(".")
+    if outer:
+        return dataclasses.replace(record, **{outer: dataclasses.replace(getattr(record, outer), **{key: value})})
+    return dataclasses.replace(record, **{key: value})
+
 
 # each step changes the store or its sidecar, then reads
 changes = st.one_of(
     st.tuples(st.just("none"), st.none()),
     st.tuples(st.just("persist"), records),
+    st.tuples(st.just("retype"), st.tuples(records, st.sampled_from(RETYPES))),
     st.tuples(st.just("raw_append"), st.tuples(records, st.lists(st.sampled_from(DROPPABLE), max_size=3))),
     st.tuples(st.just("torn_append"), st.integers(1, 40)),
     st.tuples(st.just("sidecar"), st.sampled_from(("absent", "corrupt", "old_version", "new_inode"))),
@@ -153,12 +178,61 @@ reads = st.one_of(
 )
 
 
-def frame_sidecar(head: dict, lines: list[bytes]) -> bytes:
-    """A format-3 sidecar of ``lines``: the header with each line's size and CRC-32 (closing byte left out),
-    the lines, and the CRC-32 of the header line."""
-    head = {**head, "sizes": [len(line) for line in lines], "crcs": [zlib.crc32(line[:-1]) for line in lines]}
-    header = json.dumps(head).encode() + b"\n"
-    return header + b"".join(line + b"\n" for line in lines) + b"%d\n" % zlib.crc32(header)
+# the part lines of a sidecar column of each kind, in order: a compact JSON list, or one little-endian word a row
+PART_FORMS = {"int": ("<q",), "dict": ("json", "<I"), "json": ("json",)}
+
+
+def column_lines(kind: str, values: list) -> list[bytes]:
+    """A column's part lines, newline included, written without the store's encoders."""
+    def words(form, items):
+        return b"".join(struct.pack(form, v) for v in items) + b"\n"
+
+    def listed(items):
+        return json.dumps(items, separators=(",", ":")).encode() + b"\n"
+
+    if kind == "int":
+        return [words("<q", values)]
+    if kind == "dict":
+        entries = list(dict.fromkeys(values))
+        return [listed(entries), words("<I", map(entries.index, values))]
+    return [listed(values)]
+
+
+def frame_sidecar(head: dict, columns: list[list[bytes]]) -> bytes:
+    """A format-4 sidecar of ``columns``' part lines: the prologue (the header line's size and CRC-32 as 8 hex
+    digits each), the compact JSON header with the size of each part line and its CRC-32 without its closing
+    bytes (``]`` and the newline, or the newline) as the hex of little-endian uint32 words, then the lines."""
+    lines = [line for parts in columns for line in parts]
+    forms = [form for kind in head["kinds"] for form in PART_FORMS[kind]]
+    sizes = b"".join(struct.pack("<I", len(line)) for line in lines).hex()
+    crcs = b"".join(struct.pack("<I", zlib.crc32(line[:-2] if form == "json" else line[:-1]))
+                    for form, line in zip(forms, lines)).hex()
+    header = json.dumps({**head, "sizes": sizes, "crcs": crcs}, separators=(",", ":")).encode() + b"\n"
+    return b"%08x %08x\n" % (len(header), zlib.crc32(header)) + header + b"".join(lines)
+
+
+def read_sidecar(data: bytes) -> tuple[dict, dict[str, tuple[int, list[bytes]]]]:
+    """The header of a format-4 sidecar and, per field, where its part lines start and the lines."""
+    size = int(data[:8], 16)
+    head = json.loads(data[18:18 + size])
+    sizes = [n for (n,) in struct.iter_unpack("<I", bytes.fromhex(head["sizes"]))]
+    at, columns = 18 + size, {}
+    for name, kind in zip(head["fields"], head["kinds"]):
+        columns[name] = (at, [])
+        for _ in PART_FORMS[kind]:
+            columns[name][1].append(data[at:at + sizes.pop(0)])
+            at += len(columns[name][1][-1])
+    assert at == len(data) and not sizes
+    return head, columns
+
+
+def reframe(data: bytes, **changes) -> bytes:
+    """``data`` framed again, checks and all, with header keys or columns' part lines replaced."""
+    head, columns = read_sidecar(data)
+    lines = {name: parts for name, (_, parts) in columns.items()}
+    lines.update(changes.pop("lines", {}))
+    head = {k: v for k, v in head.items() if k not in ("sizes", "crcs")} | changes
+    return frame_sidecar(head, [lines[name] for name in head["fields"]])
 
 
 def change_sidecar(store: ArtifactStore, state: str) -> None:
@@ -168,12 +242,10 @@ def change_sidecar(store: ArtifactStore, state: str) -> None:
     elif state == "corrupt" and idx.exists():
         idx.write_bytes(idx.read_bytes()[: idx.stat().st_size // 2])
     elif state == "old_version" and idx.exists():
-        # whole and for this store by every check of format 3, but of version 2, whose lines mean other things
-        lines = idx.read_bytes().split(b"\n")[:-2]
-        head = json.loads(lines[0])
-        at = {name: k + 1 for k, name in enumerate(head["fields"])}
-        lines[at["offset"]], lines[at["length"]] = lines[at["length"]], lines[at["offset"]]
-        idx.write_bytes(frame_sidecar({**head, "version": 2}, lines[1:]))
+        # whole and for this store by every check of format 4, but of version 3, whose lines mean other things
+        _, columns = read_sidecar(idx.read_bytes())
+        idx.write_bytes(reframe(idx.read_bytes(), version=3,
+                                lines={"offset": columns["length"][1], "length": columns["offset"][1]}))
     elif state == "new_inode" and store.path.read_bytes().endswith(b"\n"):
         # the same size and mtime, other content: only the inode tells the old index from the new store
         lines = store.path.read_bytes().splitlines(keepends=True)
@@ -187,6 +259,8 @@ def change_sidecar(store: ArtifactStore, state: str) -> None:
 def change(store: ArtifactStore, op: str, arg) -> None:
     """Apply one change; ``persist`` is checked against the oracle here."""
     path = store.path
+    if op == "retype":
+        op, arg = "persist", retyped(arg[0], *arg[1])
     if op == "persist":
         truth = oracle_records(path)
         if arg.image_tag in {r.image_tag for r in truth}:
@@ -270,18 +344,32 @@ NUMERIC_FIELDS = {"attempts", "successes", "failed.build_id", "failed.job_id", "
 
 class TestSidecar:
     def test_field_list_and_kinds_are_pinned(self, two_records):
-        head = json.loads(two_records.index_path.read_bytes().partition(b"\n")[0])
-        assert store_mod._index_fields() == head["fields"] == SIDECAR_FIELDS
-        assert head["version"] == store_mod.INDEX_VERSION == 3
         data = two_records.index_path.read_bytes()
-        lines = data.split(b"\n")
-        assert frame_sidecar({k: v for k, v in head.items() if k not in ("sizes", "crcs")}, lines[1:-2]) == data
-        # positions are one JSON string of 16 hex digits a row, each a little-endian u64
+        head, _ = read_sidecar(data)
+        assert store_mod._index_fields() == head["fields"] == SIDECAR_FIELDS
+        assert head["version"] == store_mod.INDEX_VERSION == 4
+        # the whole file, written from the records' values with this file's own encoders
         sizes = [len(line) for line in two_records.path.read_bytes().splitlines(keepends=True)]
-        assert lines[SIDECAR_FIELDS.index("offset") + 1] == b'"%s"' % b"".join(
-            n.to_bytes(8, "little").hex().encode() for n in (0, sizes[0]))
-        assert lines[SIDECAR_FIELDS.index("length") + 1] == b'"%s"' % b"".join(
-            n.to_bytes(8, "little").hex().encode() for n in sizes)
+        values = {name: [row[name] for row in (flat(r) for r in two_records.load())] for name in SIDECAR_FIELDS[:-4]}
+        values |= {"error_tags": [["NullPointerException"], ["ValueError"]], "offset": [0, sizes[0]], "length": sizes,
+                   "verbatim": [True, True]}
+        # pr_number holds only None here, so it is a dict column
+        kinds = {name: "int" if name in (NUMERIC_FIELDS | {"offset", "length"}) - {"pr_number"} else "dict"
+                 for name in SIDECAR_FIELDS} | {"error_tags": "json"}
+
+        columns = [column_lines(kinds[name], values[name]) for name in SIDECAR_FIELDS]
+        entries = [len(dict.fromkeys(values[name])) if kinds[name] == "dict" else 0 for name in SIDECAR_FIELDS]
+        expected = frame_sidecar({"version": 4, "stamp": head["stamp"], "end": sizes[0] + sizes[1], "rows": 2,
+                                  "fields": SIDECAR_FIELDS, "kinds": [kinds[name] for name in SIDECAR_FIELDS],
+                                  "entries": entries}, columns)
+        # the second persist reused the dictionary entry of each value it already held
+        assert data == expected
+        assert read_sidecar(data)[1]["slug"][1] == [b'["acme/widgets"]\n', b"\0\0\0\0\0\0\0\0\n"]
+        assert read_sidecar(data)[1]["num_changes"][1] == [struct.pack("<2q", 10, 600) + b"\n"]
+        # a rebuild writes the same file
+        two_records.index_path.unlink()
+        two_records.index()
+        assert two_records.index_path.read_bytes() == expected
         for name in SIDECAR_FIELDS[:-4]:
             if name in NUMERIC_FIELDS:
                 two_records.query(f"{name}>=0")
@@ -297,7 +385,7 @@ class TestSidecar:
 
     def test_persist_keeps_the_sidecar_fresh_and_leaves_no_temp_file(self, two_records):
         assert sorted(p.name for p in two_records.path.parent.iterdir()) == ["store.jsonl", "store.jsonl.idx"]
-        head = json.loads(two_records.index_path.read_bytes().partition(b"\n")[0])
+        head, _ = read_sidecar(two_records.index_path.read_bytes())
         st_store = two_records.path.stat()
         assert head["stamp"] == [st_store.st_ino, st_store.st_size, st_store.st_mtime_ns]
         assert head["rows"] == 2 and head["end"] == st_store.st_size
@@ -314,24 +402,26 @@ class TestSidecar:
         assert two_records.index_path.exists()
 
     def test_sidecar_with_altered_body_is_rebuilt(self, two_records):
-        lines = two_records.index_path.read_bytes().split(b"\n")
-        at = json.loads(lines[0])["fields"].index("num_changes") + 1
-        assert lines[at] == b"[10,600]"
-        lines[at] = b"[10,100]"  # the header still matches the store; only the CRC tells
-        two_records.index_path.write_bytes(b"\n".join(lines))
+        data = two_records.index_path.read_bytes()
+        at, (line,) = read_sidecar(data)[1]["num_changes"]
+        assert line == struct.pack("<2q", 10, 600) + b"\n"
+        # the header still matches the store; only the CRC tells
+        two_records.index_path.write_bytes(data[:at] + struct.pack("<2q", 10, 100) + data[at + len(line) - 1:])
         assert [r.image_tag for r in decode_lines(two_records.query("num_changes>=500"))] == ["a-b-2"]
-        assert b"[10,600]" in two_records.index_path.read_bytes()
+        assert read_sidecar(two_records.index_path.read_bytes())[1]["num_changes"][1] == [line]
 
     @pytest.mark.parametrize("field", ["num_files_changed", "error_tags", "offset", "verbatim"])
     def test_persist_carries_a_damaged_column_it_did_not_read_as_damaged(self, two_records, field):
-        lines = two_records.index_path.read_bytes().split(b"\n")
-        at = SIDECAR_FIELDS.index(field) + 1
-        lines[at] = lines[at][:1] + bytes([lines[at][1] ^ 1]) + lines[at][2:]  # the byte after the opening one
-        two_records.index_path.write_bytes(b"\n".join(lines))
+        data = bytearray(two_records.index_path.read_bytes())
+        at, lines = read_sidecar(data)[1][field]
+        if len(lines) == 2:  # a dict column, whose dictionary an append reads: its codes
+            at += len(lines[0])
+        data[at + 1] ^= 1  # the second byte of the column's first line that the append does not read
+        two_records.index_path.write_bytes(data)
         two_records.persist(mk_record(tag="a-b-3"))  # reads the image_tag column only
         # the damage is still there, and still fails the check of its column after the append
         data = two_records.index_path.read_bytes()
-        index = store_mod.StoreIndex.parse(data, json.loads(data.partition(b"\n")[0])["stamp"])
+        index = store_mod.StoreIndex.parse(data, read_sidecar(data)[0]["stamp"])
         with pytest.raises(store_mod.SidecarDamaged, match=repr(field)):
             index.column(field)
         with two_records.path.open("rb") as fh:
@@ -339,6 +429,141 @@ class TestSidecar:
         read = two_records.index()
         assert {name: list(read.column(name)) for name in SIDECAR_FIELDS} == {
             name: list(built.column(name)) for name in SIDECAR_FIELDS}
+
+    def test_persist_rebuilds_when_a_column_it_must_retype_is_damaged(self, two_records):
+        data = bytearray(two_records.index_path.read_bytes())
+        at, _ = read_sidecar(data)[1]["num_changes"]
+        data[at] ^= 1
+        two_records.index_path.write_bytes(data)
+        # 2**63 does not fit the int column, which must be parsed to be written as json, and fails its check
+        two_records.persist(mk_record(tag="a-b-3", changes=2 ** 63))
+        assert [r.num_changes for r in two_records.load()] == [10, 600, 2 ** 63]
+        head, _ = read_sidecar(two_records.index_path.read_bytes())
+        assert head["rows"] == 3 and head["kinds"][SIDECAR_FIELDS.index("num_changes")] == "json"
+        assert decode_lines(two_records.query("num_changes>=600")) == two_records.load()[1:]
+
+    def test_persist_rebuilds_when_a_dictionary_it_reads_is_damaged(self, two_records):
+        data = bytearray(two_records.index_path.read_bytes())
+        at, _ = read_sidecar(data)[1]["primary_language"]
+        data[at + 1] ^= 1  # in the dictionary, whose entry the appended Java reuses
+        two_records.index_path.write_bytes(data)
+        two_records.persist(mk_record(tag="a-b-3", language="Java"))
+        with two_records.path.open("rb") as fh:
+            built = two_records._build(fh)
+        assert two_records.index_path.read_bytes() == b"".join(built.dump())
+        assert [r.image_tag for r in decode_lines(two_records.query("language=java"))] == ["a-b-1", "a-b-3"]
+
+    def test_a_store_grown_by_persist_has_the_sidecar_of_a_rebuild(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store.jsonl")
+        limit = store_mod._DICT_FLOOR
+        for k in range(limit + 6):
+            store.persist(mk_record(tag=f"a-b-{k}", language=("Java", "Python")[k % 3 == 0], changes=k))
+            kinds = dict(zip(SIDECAR_FIELDS, read_sidecar(store.index_path.read_bytes())[0]["kinds"]))
+            # a distinct tag a row: a dict column up to the limit of its dictionary, then a json list
+            assert kinds["image_tag"] == ("dict" if k < limit else "json"), k
+        data = store.index_path.read_bytes()
+        head, columns = read_sidecar(data)
+        assert head["entries"][SIDECAR_FIELDS.index("primary_language")] == 2
+        assert columns["primary_language"][1][0] == b'["Python","Java"]\n'
+        store.index_path.unlink()
+        store.index()
+        assert store.index_path.read_bytes() == data
+
+    def test_an_index_reads_the_rows_added_to_it(self, two_records):
+        data = two_records.index_path.read_bytes()
+        stamp = read_sidecar(data)[0]["stamp"]
+        index = store_mod.StoreIndex.parse(data, stamp)
+        index.check(*SIDECAR_FIELDS)  # every column parsed, and still held as its sidecar lines too
+        line = raw_line(mk_record(tag="a-b-3", language="Python", changes=2 ** 63))
+        with two_records.path.open("ab") as fh:
+            fh.write(line)
+        index.add(json.loads(line), index.end, len(line), True)
+        with two_records.path.open("rb") as fh:
+            built = two_records._build(fh)
+        want = {name: list(built.column(name)) for name in SIDECAR_FIELDS}
+        assert {name: list(index.column(name)) for name in SIDECAR_FIELDS} == want
+        again = store_mod.StoreIndex.parse(b"".join(index.dump()), stamp)
+        assert {name: list(again.column(name)) for name in SIDECAR_FIELDS} == want
+
+    @pytest.mark.parametrize("field, value", RETYPES)
+    def test_an_append_that_changes_a_kind_keeps_each_value_and_its_type(self, two_records, field, value):
+        kinds = dict(zip(SIDECAR_FIELDS, read_sidecar(two_records.index_path.read_bytes())[0]["kinds"]))
+        two_records.persist(retyped(mk_record(tag="a-b-3"), field, value))
+        head, _ = read_sidecar(two_records.index_path.read_bytes())
+        values = two_records.index(field).column(field)
+        assert values[-1] == value and type(values[-1]) is type(value)
+        with two_records.path.open("rb") as fh:
+            assert list(values) == list(two_records._build(fh).column(field))
+        # a value that the column's kind cannot hold makes it a json column
+        fits = kinds[field] == "dict" and (value is None or type(value) in (str, bool))
+        assert head["kinds"][SIDECAR_FIELDS.index(field)] == ("dict" if fits else "json")
+
+    @pytest.fixture()
+    def twenty(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store.jsonl")
+        with store.path.open("ab") as fh:
+            for k in range(20):
+                fh.write(raw_line(mk_record(tag=f"a-b-{k}", language=("Java", "Python")[k % 3 == 0], changes=k)))
+        store.index()
+        return store
+
+    @pytest.mark.parametrize("damage", ["rows_past_every_column", "a_code_short", "a_code_past_the_dictionary",
+                                        "a_dictionary_short", "a_value_short"])
+    def test_a_column_that_disagrees_with_the_header_is_damage(self, twenty, capsys, damage):
+        data = twenty.index_path.read_bytes()
+        with twenty.path.open("rb") as fh:
+            stamp = store_mod._stamp(fh)
+        if damage == "rows_past_every_column":  # every CRC is the writer's own
+            index = store_mod.StoreIndex.parse(data, stamp)
+            index.rows += 1
+            data = b"".join(index.dump())
+        elif damage == "a_value_short":
+            data = reframe(data, lines={"error_tags": [json.dumps([["NullPointerException"]] * 19).encode() + b"\n"]})
+        elif damage == "a_dictionary_short":  # one entry of the header's two, which the codes still name
+            _, codes = read_sidecar(data)[1]["primary_language"][1]
+            data = reframe(data, lines={"primary_language": [b'["Python"]\n', codes]})
+        else:  # the primary_language column: one code fewer than rows, or a code past its two entries
+            entries, codes = read_sidecar(data)[1]["primary_language"][1]
+            codes = codes[:-5] + (b"" if damage == "a_code_short" else struct.pack("<I", 2)) + b"\n"
+            data = reframe(data, lines={"primary_language": [entries, codes]})
+        twenty.index_path.write_bytes(data)
+        # a read under the lock rebuilds the index and answers as the store does
+        main(["query", "language=java", "--store", str(twenty.path)])
+        main(["stats", "--errors", "java", "--store", str(twenty.path)])
+        truth = oracle_records(twenty.path)
+        java = "".join(json.dumps(r.to_dict()) + "\n" for r in truth if r.primary_language == "Java")
+        assert capsys.readouterr().out == java + "NullPointerException\t13\n"
+        assert twenty.index_path.read_bytes() != data
+        field = "error_tags" if damage == "a_value_short" else "primary_language"
+        with pytest.raises(store_mod.SidecarDamaged, match=repr(field)):
+            store_mod.StoreIndex.parse(data, stamp).column(field)
+
+    def test_reads_read_the_header_and_their_columns_only(self, twenty, monkeypatch, capsys):
+        data = twenty.index_path.read_bytes()
+        head, columns = read_sidecar(data)
+        ino = twenty.index_path.stat().st_ino
+        spans = {name: range(at, at + sum(map(len, lines))) for name, (at, lines) in columns.items()}
+        spans["header"] = range(columns[SIDECAR_FIELDS[0]][0])
+        reads, opened = [], []  # (offset, size) of each pread of the sidecar, and each path opened with open()
+        pread, io_open = os.pread, io.open
+        monkeypatch.setattr(os, "pread", lambda fd, n, offset: (os.fstat(fd).st_ino == ino
+                                                                and reads.append((offset, n))) or pread(fd, n, offset))
+        monkeypatch.setattr(io, "open", lambda file, *args, **kw: opened.append(os.fspath(file))
+                            or io_open(file, *args, **kw))
+        monkeypatch.setattr(ArtifactStore, "_build", lambda *_: pytest.fail("the sidecar is fresh"))
+        for argv, fields in ((["query", "language=java num_changes>=3"],
+                              ["primary_language", "num_changes", "offset", "length", "verbatim"]),
+                             (["stats", "--metric", "changes"], ["num_changes"]),
+                             (["stats", "--errors", "python"], ["primary_language", "error_tags"])):
+            main([*argv, "--store", str(twenty.path)])
+            touched = {name for name, span in spans.items() for offset, n in reads
+                       if offset < span.stop and span.start < offset + n}
+            assert touched == {"header", *fields}, argv
+            assert all(span.start <= offset and offset + n <= span.stop for offset, n in reads
+                       for span in [next(s for s in spans.values() if offset in s)]), argv
+            reads.clear()
+        assert str(twenty.index_path) not in opened
+        assert capsys.readouterr().out.endswith("NullPointerException\t7\n")
 
     def test_first_append_after_an_empty_store_was_read(self, tmp_path):
         store = ArtifactStore(tmp_path / "store.jsonl")
@@ -373,31 +598,41 @@ class TestSidecar:
         assert stats(store.index(), "changes")["bins"]["1-5"] == 0
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("layout", ["version_1", "version_1_with_verbatim", "version_2"])
+    @pytest.mark.parametrize("layout", ["version_1", "version_1_with_verbatim", "version_2", "version_3"])
     def test_version_1_sidecar_is_rebuilt(self, two_records, monkeypatch, layout):
         # a line that is not the codec's encoding; a sidecar that marked it verbatim would have it copied
         with two_records.path.open("ab") as fh:
             fh.write(raw_line(mk_record(tag="a-b-3", changes=77), drop=("num_changes",)))
         index = two_records.index()
         assert index.column("verbatim") == [True, True, False]
-        # an older format, whole and for this store by its own checks: a header, one JSON list per field
-        # (positions too), then the CRC-32 of everything before it
+        # an older format, whole and for this store by its own checks
         columns = {name: list(index.column(name)) for name in SIDECAR_FIELDS}
         columns["verbatim"] = [True, True, True]
         if layout == "version_1":  # the columns that version 1 had
             del columns["verbatim"]
-        head = {"version": 2 if layout == "version_2" else 1, "stamp": index.stamp, "end": index.end,
-                "rows": index.rows, "fields": list(columns)}
-        body = b"".join([json.dumps(head).encode() + b"\n",
-                         *(json.dumps(values, separators=(",", ":")).encode() + b"\n" for values in columns.values())])
-        two_records.index_path.write_bytes(body + b"%d\n" % zlib.crc32(body))
+        head = {"version": int(layout[8]), "stamp": index.stamp, "end": index.end, "rows": index.rows,
+                "fields": list(columns)}
+        lines = [json.dumps(values, separators=(",", ":")).encode() for values in columns.values()]
+        if layout == "version_3":
+            # positions as one JSON string of 16 hex digits a row; the header gives each line's size and CRC-32
+            # without its closing byte, and the last line is the CRC-32 of the header line
+            for name in ("offset", "length"):
+                lines[SIDECAR_FIELDS.index(name)] = b'"%s"' % b"".join(
+                    n.to_bytes(8, "little").hex().encode() for n in columns[name])
+            head |= {"sizes": [len(line) for line in lines], "crcs": [zlib.crc32(line[:-1]) for line in lines]}
+            header = json.dumps(head).encode() + b"\n"
+            sidecar = header + b"".join(line + b"\n" for line in lines) + b"%d\n" % zlib.crc32(header)
+        else:  # a header, one JSON list per field, then the CRC-32 of everything before it
+            body = b"".join([json.dumps(head).encode() + b"\n", *(line + b"\n" for line in lines)])
+            sidecar = body + b"%d\n" % zlib.crc32(body)
+        two_records.index_path.write_bytes(sidecar)
         built = []
         build = ArtifactStore._build
         monkeypatch.setattr(ArtifactStore, "_build", lambda self, fh: built.append(1) or build(self, fh))
         assert two_records.query("branch=master") == [json.dumps(r.to_dict()) + "\n"
                                                       for r in oracle_records(two_records.path)]
         assert built == [1]
-        assert json.loads(two_records.index_path.read_bytes().partition(b"\n")[0])["version"] == 3
+        assert read_sidecar(two_records.index_path.read_bytes())[0]["version"] == 4
 
     def test_unwritable_sidecar_keeps_the_index_in_memory(self, two_records, monkeypatch):
         two_records.index_path.unlink()
@@ -634,20 +869,23 @@ class TestDecodeCount:
         covered, parsed_texts = list(crcs), [bytes(text) for text in loads]  # the query's, not the decoding's below
         assert [r.image_tag for r in decode_lines(lines)] == ["a-b-3", "a-b-5", "a-b-7"]
         ino = store.path.stat().st_ino
-        assert preads == [(ino, *bounds[k - 1]) for k in (3, 5, 7)]
+        assert [read for read in preads if read[0] == ino] == [(ino, *bounds[k - 1]) for k in (3, 5, 7)]
         assert touched == []
         (used,) = indexes
-        parsed = {name for name, values in used._columns.items() if not isinstance(values, (bytes, memoryview))}
+        parsed = {name for name, values in used._values.items() if values is not None}
         assert parsed == {"primary_language", "num_changes", "offset", "length", "verbatim"}
-        # no CRC-32 of the whole sidecar: one of the header line and one of each parsed column without its
-        # closing byte
-        header, *columns = sidecar.split(b"\n")[:-2]
-        assert sorted(covered) == sorted(
-            [header + b"\n", *(columns[SIDECAR_FIELDS.index(name)][:-1] for name in parsed)])
-        # positions are no JSON lists: json.loads reads the header and the three other columns only
-        assert sorted(parsed_texts) == sorted(
-            [header + b"\n", *(columns[SIDECAR_FIELDS.index(name)] for name in parsed - {"offset", "length"})])
-        assert all(type(used.column(name)) is array for name in ("offset", "length"))
+        # no CRC-32 of the whole sidecar: one of the header line and one of each part line of each parsed column
+        # without its closing bytes
+        head, columns = read_sidecar(sidecar)
+        kinds = dict(zip(head["fields"], head["kinds"]))
+        assert {name: kinds[name] for name in parsed} == {
+            "primary_language": "dict", "num_changes": "int", "offset": "int", "length": "int", "verbatim": "dict"}
+        header = sidecar[18:columns["image_tag"][0]]
+        assert sorted(covered) == sorted([header, *(line[:-2] if form == "json" else line[:-1] for name in parsed
+                                                    for form, line in zip(PART_FORMS[kinds[name]], columns[name][1]))])
+        # json.loads reads the header and the dictionaries of the two dict columns only: no int column
+        assert sorted(parsed_texts) == sorted([header, columns["primary_language"][1][0], columns["verbatim"][1][0]])
+        assert all(type(used.column(name)) is array for name in ("num_changes", "offset", "length"))
 
 
 # --- failpass query prints what the codec prints --------------------------------
@@ -749,17 +987,32 @@ def outcome(run):
         return type(exc)
 
 
+INT64_EDGES = (2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1)
 scan_values = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3), st.sampled_from(INT64_EDGES),
+    st.sampled_from((math.nan, -0.0)),
     st.sampled_from(("java", "Java", "JAVA", "python", "Flaky", "12", "2.5", "-1", "")),
     st.lists(st.integers(0, 2), max_size=2),
 )
-scan_rhs = st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.sampled_from(("java", "python", "12", "flaky", "")))
+scan_rhs = st.one_of(st.integers(-3, 3), st.floats(-3, 3), st.sampled_from(INT64_EDGES),
+                     st.sampled_from(("java", "python", "12", "flaky", "")))
+
+
+def encodings(values: list) -> list[str]:
+    """Every kind of sidecar column that can hold ``values``."""
+    kinds = ["json"]
+    if all(type(v) is int and -2 ** 63 <= v < 2 ** 63 for v in values):
+        kinds.append("int")
+    if all(v is None or type(v) in (str, bool) for v in values):
+        kinds.append("dict")
+    return kinds
 
 
 class TestTermScanIsTheRule:
     @settings(derandomize=True, deadline=None, max_examples=500)
     @example(columns=[["12", None, 3]], terms=[(0, "!=", 5), (0, "<", 5)])  # a str in a number field: TypeError
+    # "a" is refused by "<" 5, but the rows that reach that term hold only True
+    @example(columns=[["a", True, True], [0, 1, 1]], terms=[(1, ">=", 1), (0, "<", 5)])
     @given(columns=st.integers(0, 10).flatmap(
                lambda n: st.lists(st.lists(scan_values, min_size=n, max_size=n), min_size=1, max_size=3)),
            terms=st.lists(st.tuples(st.integers(0, 2), st.sampled_from(sorted(store_mod._OPERATORS)), scan_rhs),
@@ -768,13 +1021,21 @@ class TestTermScanIsTheRule:
         def run(select):
             rows = range(len(columns[0]))
             for k, op, rhs in terms:
-                rows = select(columns[k % len(columns)], rows, store_mod._OPERATORS[op], rhs)
+                rows = select(k % len(columns), rows, store_mod._OPERATORS[op], rhs)
             return list(rows)
 
-        def by_value(values, rows, compare, rhs):
-            return [i for i in rows if holds(values[i], compare, rhs)]
+        def by_value(k, rows, compare, rhs):
+            return [i for i in rows if holds(columns[k][i], compare, rhs)]
 
-        assert outcome(lambda: run(store_mod._select)) == outcome(lambda: run(by_value))
+        want = outcome(lambda: run(by_value))
+        assert outcome(lambda: run(lambda k, *args: store_mod._select(columns[k], *args))) == want
+        # the same columns read from the sidecar, each in every kind that can hold it
+        names = SIDECAR_FIELDS[:len(columns)]
+        for choice in itertools.product(*map(encodings, columns)):
+            stored = {name: store_mod._Stored.encode(values, kind)
+                      for name, values, kind in zip(names, columns, choice)}
+            index = store_mod.StoreIndex(rows=len(columns[0]), stored=stored)
+            assert outcome(lambda: run(lambda k, *args: index.select(names[k], *args))) == want, choice
 
 
 # --- a damaged sidecar gives the original columns or a rebuild ----------------------
@@ -797,30 +1058,33 @@ class TestSidecarParse:
     @settings(derandomize=True, deadline=None, max_examples=25,
               suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
     @given(initial=st.lists(records, min_size=0, max_size=3, unique_by=lambda r: r.image_tag),
-           field=st.sampled_from(SIDECAR_FIELDS), mask=st.integers(1, 255))
+           retype=st.none() | st.sampled_from(RETYPES), field=st.sampled_from(SIDECAR_FIELDS),
+           mask=st.integers(1, 255))
     def test_a_cut_or_flipped_sidecar_parses_to_nothing_or_to_the_original(self, tmp_path_factory, initial,
-                                                                         field, mask):
+                                                                         retype, field, mask):
         path = tmp_path_factory.mktemp("store") / "store.jsonl"
         store = ArtifactStore(path)
         path.touch()
         for record in initial:
             store.persist(record)
         store.index()
+        tags = [r.image_tag for r in initial] + ["acme-widgets-99"]
+        if retype:  # an append that changes the kind of a column
+            store.persist(retyped(mk_record(tag="acme-widgets-50"), *retype))
+            tags.append("acme-widgets-50")
         data = store.index_path.read_bytes()
-        stamp = json.loads(data.partition(b"\n")[0])["stamp"]
+        head, columns = read_sidecar(data)
+        stamp = head["stamp"]
         with path.open("rb") as fh:
             original = {name: list(store._build(fh).column(name)) for name in SIDECAR_FIELDS}
         parsed = store_mod.StoreIndex.parse(data, stamp)
         assert {name: list(parsed.column(name)) for name in SIDECAR_FIELDS} == original
-        reads = every_read(store, [r.image_tag for r in initial] + ["acme-widgets-99"])
+        reads = every_read(store, tags)
         store.index_path.unlink()
         want = [outcome(read) for read in reads]
-        line_starts = [0, *(k + 1 for k, byte in enumerate(data) if byte == 0x0A)]
-        at = SIDECAR_FIELDS.index(field) + 1
-        inside = range(line_starts[at], line_starts[at + 1] - 1)  # the column's line, without its newline
-        flips = [*range(line_starts[1]),  # the header
-                 *range(line_starts[at], line_starts[at + 1]),  # one column, with its newline
-                 *range(line_starts[-2], len(data))]  # the CRC line and the trailing newline
+        at, lines = columns[field]
+        inside = range(at, at + sum(map(len, lines)))  # the column's part lines
+        flips = [*range(columns[SIDECAR_FIELDS[0]][0]), *inside]  # the prologue and the header, and one column
         mutants = [(None, data[:cut]) for cut in range(len(data))]
         mutants += [(k, data[:k] + bytes([data[k] ^ mask]) + data[k + 1:]) for k in flips]
         with pytest.MonkeyPatch.context() as patch:
