@@ -4,18 +4,19 @@ The store is an append-only JSON-lines file under an advisory file lock.
 Beside it, the sidecar ``<store>.idx`` is a derived key directory: every
 queryable scalar of every record, each record's error-tag names, where its
 line lies in the store, and whether that line is already the codec's
-encoding. Each column is typed: int64 words, dictionary codes, or a JSON
-list. Queries and statistics read, check and parse only the columns they
-use, and a query term runs on a column's encoding; a query reads each
-hit's line once, with one ``pread``, and decodes only those lines that are
-not the codec's encoding. The sidecar is trusted only while its stamp, the
-store's (inode, size, mtime_ns), matches, its header passes its CRC-32 and
-each column a read uses passes its own and holds a value a record; on any
-mismatch it is rebuilt from the store, so deleting it is always safe. A
-last line without a newline that does not parse, as a crash mid-append
-leaves, is skipped by reads and cut off by the next append. Diff metrics
-are git's numstat of two trees (a modified line is one addition plus one
-deletion).
+encoding. Each column is one line of int64 words, dictionary codes, or a
+JSON list; the header holds every dictionary. Queries, statistics and
+appends read the sidecar through one path, and check and parse only the
+columns they use; a query term runs on a column's encoding, and a query
+reads each hit's line once, with one ``pread``, and decodes only those
+lines that are not the codec's encoding. The sidecar is trusted only while
+its stamp, the store's (inode, size, mtime_ns), matches, its header passes
+its CRC-32 and each column a read uses passes its own and holds a value a
+record; on any mismatch it is rebuilt from the store, so deleting it is
+always safe. A last line without a newline that does not parse, as a crash
+mid-append leaves, is skipped by reads and cut off by the next append.
+Diff metrics are git's numstat of two trees (a modified line is one
+addition plus one deletion).
 """
 
 from __future__ import annotations
@@ -128,20 +129,12 @@ def compute_diff_metrics(failing_tree: Path, passing_tree: Path) -> tuple[int, i
 
 # --- store -----------------------------------------------------------------
 
-INDEX_VERSION = 4
+INDEX_VERSION = 5
 
-# The kinds of sidecar column, each chosen from the values the column holds when it is written, and the
-# parts each is stored as, one sidecar line a part: None for a compact JSON list, else the array typecode
-# of one little-endian word a row.
-_PARTS = {
-    "int": ("q",),  # every value an int (not a bool) within int64
-    "dict": (None, "I"),  # every value a str, None or bool: the distinct values, then each row's code
-    "json": (None,),  # any other column
-}
 _INT64 = range(-2 ** 63, 2 ** 63)
-# a dict column holds at most this many distinct values, or half its rows where that is more: nearly distinct
-# strings are smaller and scan faster as a JSON list, and an append reads the dictionary to reuse an entry
-_DICT_FLOOR = 64
+# a dict column holds at most this many distinct values: nearly distinct strings are smaller and scan faster as a
+# JSON list, and every read parses every dictionary with the header
+_DICT_LIMIT = 64
 # the sidecar's first line: the size of the header line and its CRC-32, as 8 hex digits each
 _PROLOGUE = len(b"%08x %08x\n" % (0, 0))
 
@@ -203,17 +196,12 @@ def _verbatim(raw: bytes, d: dict) -> bool:
         return False
 
 
-def _dict_limit(rows: int) -> int:
-    """The most distinct values a dict column of ``rows`` values holds."""
-    return max(_DICT_FLOOR, rows // 2)
-
-
 def _kind(values) -> str:
     """The kind chosen for a column of ``values``; ``_Stored.encode`` writes an int past int64 as json."""
     types = set(map(type, values))
     if types <= {int}:
         return "int"
-    if types <= {str, bool, type(None)} and len(set(values)) <= _dict_limit(len(values)):
+    if types <= {str, bool, type(None)} and len(set(values)) <= _DICT_LIMIT:
         return "dict"
     return "json"
 
@@ -238,9 +226,10 @@ def _unwords(typecode: str, data) -> array:
     return words
 
 
-def _closing(typecode) -> bytes:
-    """The bytes that end a part line; its CRC-32 leaves them out, so an append extends it from its running value."""
-    return b"]\n" if typecode is None else b"\n"
+def _closing(kind: str) -> bytes:
+    """The bytes that end a column's line; its CRC-32 leaves them out, so an append extends it from its running
+    value."""
+    return b"]\n" if kind == "json" else b"\n"
 
 
 class _Coded(NamedTuple):
@@ -251,102 +240,85 @@ class _Coded(NamedTuple):
 
 @dataclass
 class _Stored:
-    """One column as the sidecar holds it: its kind, the size of its dictionary (0 unless ``dict``), its part
-    lines, newline included, and the CRC-32 of each without its closing bytes."""
+    """One column as the sidecar holds it: its kind, its dictionary (None unless ``dict``), its line, newline
+    included, and the CRC-32 of that line without its closing bytes."""
     kind: str
-    entries: int
-    parts: list
-    crcs: list
+    dictionary: Optional[list]
+    line: bytes
+    crc: int
 
     @classmethod
     def encode(cls, values: list, kind: Optional[str] = None) -> "_Stored":
         """``values`` as a column of ``kind``, by default the kind chosen from them."""
         kind = kind or _kind(values)
-        entries = []
+        dictionary = None
         if kind == "int":
             try:
-                bodies = [_words("q", values)]
+                body = _words("q", values)
             except OverflowError:  # an int past int64
                 kind = "json"
         if kind == "dict":
-            entries = list(dict.fromkeys(values))
-            code = dict(zip(entries, range(len(entries))))
-            bodies = [_json(entries), _words("I", map(code.__getitem__, values))]
+            dictionary = list(dict.fromkeys(values))
+            code = dict(zip(dictionary, range(len(dictionary))))
+            body = _words("I", map(code.__getitem__, values))
         elif kind == "json":
-            bodies = [_json(values)]
-        parts = [body + b"\n" for body in bodies]
-        crcs = [zlib.crc32(memoryview(part)[:len(part) - len(_closing(typecode))])
-                for typecode, part in zip(_PARTS[kind], parts)]
-        return cls(kind, len(entries), parts, crcs)
+            body = _json(values)[:-1]
+        return cls(kind, dictionary, body + _closing(kind), zlib.crc32(body))
 
-    def extend(self, value, rows: int) -> bool:
-        """Append ``value`` to a column of ``rows`` values; False, and nothing changed, if it does not fit the kind.
+    def extend(self, value) -> bool:
+        """Append ``value``, reading nothing; False, and nothing changed, if it does not fit the kind.
 
-        An int or json column is extended unread. A dict column reads its
-        dictionary (ValueError if that fails its check) and takes the code of
-        the value's entry, adding the entry where it is new unless the
-        dictionary would then pass its limit.
+        A dict column takes the code of the value's entry in its dictionary,
+        adding the entry where it is new unless the dictionary would then
+        pass ``_DICT_LIMIT``.
         """
         if self.kind == "int":
             if type(value) is not int or value not in _INT64:
                 return False
-            items = [_words("q", (value,))]
+            item = _words("q", (value,))
         elif self.kind == "json":
-            items = [_json(value)]
+            item = (b"," if len(self.line) > 3 else b"") + _json(value)  # a comma unless the list is empty
         elif value is not None and type(value) not in (str, bool):
             return False
         else:
-            entries = self._dictionary()
             try:
-                items = [b"", _words("I", (entries.index(value),))]  # the dictionary as it is
+                code = self.dictionary.index(value)
             except ValueError:  # a new entry
-                if self.entries >= _dict_limit(rows + 1):
+                if len(self.dictionary) >= _DICT_LIMIT:
                     return False
-                items = [_json(value), _words("I", (self.entries,))]
-                self.entries += 1
-        for k, (typecode, item) in enumerate(zip(_PARTS[self.kind], items)):
-            if not item:
-                continue
-            part, closing = self.parts[k], _closing(typecode)
-            if typecode is None and len(part) > len(closing) + 1:  # a JSON list that holds an item already
-                item = b"," + item
-            self.parts[k] = b"".join((part[:len(part) - len(closing)], item, closing))
-            self.crcs[k] = zlib.crc32(item, self.crcs[k])
+                code = len(self.dictionary)
+                self.dictionary.append(value)
+            item = _words("I", (code,))
+        closing = _closing(self.kind)
+        self.line = b"".join((self.line[:len(self.line) - len(closing)], item, closing))
+        self.crc = zlib.crc32(item, self.crc)
         return True
-
-    def _part(self, k: int) -> list | array:
-        """Part ``k`` parsed; ValueError if it fails its check or does not parse."""
-        typecode, part = _PARTS[self.kind][k], self.parts[k]
-        closing = _closing(typecode)
-        body = part[:len(part) - len(closing)]
-        if part[len(body):] != closing or zlib.crc32(body) != self.crcs[k]:
-            raise ValueError("fails its CRC-32 check")
-        try:
-            return json.loads(bytes(part)) if typecode is None else _unwords(typecode, body)
-        except ValueError as exc:
-            raise ValueError(f"does not parse: {exc}") from None
-
-    def _dictionary(self) -> list:
-        """A dict column's entries; ValueError as ``_part``, or if they are not the header's count."""
-        entries = self._part(0)
-        if not isinstance(entries, list) or len(entries) != self.entries:
-            raise ValueError(f"holds no {self.entries}-entry dictionary")
-        return entries
 
     def decode(self, rows: int) -> list | array | _Coded:
         """The column's values: array('q') for int, _Coded for dict, a list for json.
 
-        ValueError if a part fails its check or does not parse, or the column does not hold ``rows`` values.
+        ValueError if the line fails its check or does not parse, or the
+        column does not hold ``rows`` values, or holds a code past its
+        dictionary.
         """
+        closing = _closing(self.kind)
+        body = self.line[:len(self.line) - len(closing)]
+        if self.line[len(body):] != closing or zlib.crc32(body) != self.crc:
+            raise ValueError("fails its CRC-32 check")
+        try:
+            if self.kind == "json":
+                values = json.loads(self.line)
+            else:
+                values = _unwords("q" if self.kind == "int" else "I", body)
+        except ValueError as exc:
+            raise ValueError(f"does not parse: {exc}") from None
+        if not isinstance(values, (list, array)) or len(values) != rows:
+            raise ValueError(f"does not hold {rows} values")
         if self.kind != "dict":
-            values = self._part(0)
-            if not isinstance(values, (list, array)) or len(values) != rows:
-                raise ValueError(f"does not hold {rows} values")
             return values
-        values = _Coded(self._dictionary(), self._part(1))
-        if len(values.codes) != rows or max(values.codes, default=-1) >= self.entries:
-            raise ValueError(f"holds no {rows} codes into its {self.entries}-entry dictionary")
-        return values
+        if max(values, default=-1) >= len(self.dictionary):
+            raise ValueError(f"holds a code past its {len(self.dictionary)}-entry dictionary")
+        return _Coded(self.dictionary, values)
 
 
 def _at(values, rows) -> Sequence:
@@ -387,26 +359,25 @@ class StoreIndex:
     the (st_ino, st_size, st_mtime_ns) of the store it describes and
     ``end`` the bytes it covers; a torn last line lies past ``end``.
 
-    The sidecar (format 4) is a prologue line holding the size and CRC-32
-    of the JSON header line, the header line, then each column's part
-    lines. A column is written as one of three kinds, chosen from the
-    values it holds (Abadi, Madden & Ferreira, SIGMOD 2006):
+    The sidecar (format 5) is a prologue line holding the size and CRC-32
+    of the JSON header line, the header line, then one line a column. A
+    column is written as one of three kinds, chosen from the values it
+    holds (Abadi, Madden & Ferreira, SIGMOD 2006):
 
-    - ``int``, every value an int (not a bool) within int64: one line of
-      little-endian int64 words, which one ``frombytes`` turns into an
-      ``array('q')``;
-    - ``dict``, every value a str, None or bool, with no more distinct
-      values than ``_dict_limit`` allows: a compact JSON list of the
-      distinct values, then a line of one little-endian uint32 code a row;
+    - ``int``, every value an int (not a bool) within int64: little-endian
+      int64 words, which one ``frombytes`` turns into an ``array('q')``;
+    - ``dict``, every value a str, None or bool, with at most
+      ``_DICT_LIMIT`` distinct values: one little-endian uint32 code a row,
+      into the column's dictionary, which the header holds;
     - ``json``, any other column: a compact JSON list.
 
-    The header gives each column's kind, the size of its dictionary, and
-    the size of each part line and its CRC-32 without its closing bytes
-    (``]`` and the newline, or the newline alone), so the header finds
-    every column without a scan and an append extends a part and its CRC
-    from the running value; it reads no part but a dictionary. A column
-    read from a sidecar is checked just before it is first parsed, against
-    its CRCs and against the header's row count; a query term runs on its
+    The header gives each column's kind, its dictionary (null unless
+    ``dict``), and the size of its line and the line's CRC-32 without its
+    closing bytes (``]`` and the newline, or the newline alone), so the
+    header finds every column without a scan and an append extends a line
+    and its CRC from the running value, reading no line. A column read from
+    a sidecar is checked just before it is first parsed, against its CRC,
+    the header's row count and its dictionary; a query term runs on its
     encoding.
     """
 
@@ -475,10 +446,10 @@ class StoreIndex:
     def add(self, d: dict, offset: int, length: int, verbatim: bool) -> None:
         """Append the row of one store line's JSON object; KeyError if it lacks a required field.
 
-        A column still held as sidecar lines takes a value that fits its kind
-        there, unread but for a dict column's dictionary. A value it does not
-        fit has it parsed and written again in the kind chosen for its values.
-        SidecarDamaged if a part it reads fails its check.
+        A column still held as its sidecar line takes a value that fits its
+        kind there, unread. A value it does not fit has it parsed and written
+        again in the kind chosen for its values; SidecarDamaged if that line
+        fails its check.
         """
         values = []
         for name, (outer, key, _, default) in _queryable().items():
@@ -496,13 +467,8 @@ class StoreIndex:
             stored, parsed = self._stored.get(name), self._values[name]
             if stored is None:
                 parsed.append(value)
-                continue
-            try:
-                extended = stored.extend(value, self.rows)
-            except ValueError as exc:
-                raise _damaged(name, exc) from None
-            if extended:
-                self._values[name] = None  # parsed again, from the lines as extended, at its next use
+            elif stored.extend(value):
+                self._values[name] = None  # parsed again, from the line as extended, at its next use
             else:  # parsed as it stands, then held as a list
                 parsed = self._values[name] = list(self.column(name))
                 del self._stored[name]
@@ -510,61 +476,50 @@ class StoreIndex:
         self.rows += 1
 
     def dump(self) -> list:
-        """Sidecar chunks: the prologue, the JSON header line, then each field's part lines."""
+        """Sidecar chunks: the prologue, the JSON header line, then each field's line."""
         columns = [self._stored.get(name) or _Stored.encode(self._values[name]) for name in _index_fields()]
-        # the size of each part line in order, and its CRC-32, as the hex of little-endian uint32 words: a
+        # the size of each column line in order, and its CRC-32, as the hex of little-endian uint32 words: a
         # JSON list of numbers would take twice as long to parse
         head = {"version": INDEX_VERSION, "stamp": self.stamp, "end": self.end, "rows": self.rows,
-                "fields": _index_fields(), "kinds": [c.kind for c in columns], "entries": [c.entries for c in columns],
-                "sizes": _words("I", (len(p) for c in columns for p in c.parts)).hex(),
-                "crcs": _words("I", (crc for c in columns for crc in c.crcs)).hex()}
+                "fields": _index_fields(), "kinds": [c.kind for c in columns],
+                "dicts": [c.dictionary for c in columns],
+                "sizes": _words("I", (len(c.line) for c in columns)).hex(),
+                "crcs": _words("I", (c.crc for c in columns)).hex()}
         line = _json(head) + b"\n"
-        return [b"%08x %08x\n" % (len(line), zlib.crc32(line)), line, *(p for c in columns for p in c.parts)]
-
-    @classmethod
-    def parse(cls, data: bytes, stamp: list) -> Optional["StoreIndex"]:
-        """The index in sidecar bytes if its header is whole, of this version and for ``stamp``; else None.
-
-        Only the header is checked here; each column stays a view of ``data`` until it is checked and parsed
-        at its first use.
-        """
-        view = memoryview(data)
-        return cls._read(lambda at, n: view[at:at + n], len(data), stamp, _index_fields())
+        return [b"%08x %08x\n" % (len(line), zlib.crc32(line)), line, *(c.line for c in columns)]
 
     @classmethod
     def read(cls, fd: int, stamp: list, fields: Iterable[str]) -> Optional["StoreIndex"]:
-        """As ``parse``, from the sidecar open as ``fd``, of which it reads the header and the lines of
-        ``fields`` only, with a ``pread`` each; another column is not in the index."""
-        return cls._read(lambda at, n: os.pread(fd, n, at), os.fstat(fd).st_size, stamp, fields)
+        """The index in the sidecar open as ``fd`` if its header is whole, of this version and for ``stamp``;
+        else None.
 
-    @classmethod
-    def _read(cls, read, size: int, stamp: list, fields: Iterable[str]) -> Optional["StoreIndex"]:
-        """The index framed by the header that ``read(offset, n)`` gives, holding the lines of ``fields``."""
+        It reads the header and the line of each of ``fields``, with a
+        ``pread`` each; another column is not in the index. A column is
+        checked and parsed at its first use.
+        """
         try:
-            prologue = bytes(read(0, _PROLOGUE))
+            prologue = os.pread(fd, _PROLOGUE, 0)
             head_size, crc = int(prologue[:8], 16), int(prologue[9:17], 16)
-            line = bytes(read(_PROLOGUE, head_size))
+            line = os.pread(fd, head_size, _PROLOGUE)
             if prologue[8:9] != b" " or prologue[17:] != b"\n" or line[-1:] != b"\n" or zlib.crc32(line) != crc:
                 return None
             h = json.loads(line)
             names = _index_fields()
             if h["version"] != INDEX_VERSION or h["stamp"] != stamp or h["fields"] != names:
                 return None
-            kinds, entries = h["kinds"], h["entries"]
+            kinds, dicts = h["kinds"], h["dicts"]
             sizes, crcs = _unwords("I", bytes.fromhex(h["sizes"])), _unwords("I", bytes.fromhex(h["crcs"]))
-            # the index of each column's first part, and where each part line starts, then the end of the last
-            firsts = list(itertools.accumulate(map(len, map(_PARTS.__getitem__, kinds)), initial=0))
+            # where each column's line starts, then the end of the last
             starts = list(itertools.accumulate(sizes, initial=_PROLOGUE + head_size))
-            if not (len(kinds) == len(entries) == len(names) and firsts[-1] == len(sizes) == len(crcs)
-                    and starts[-1] == size):  # cut short, or more than the columns
+            if not (len(kinds) == len(dicts) == len(sizes) == len(crcs) == len(names)
+                    and starts[-1] == os.fstat(fd).st_size  # cut short, or more than the columns
+                    and all(kind in ("int", "json") and d is None or kind == "dict" and isinstance(d, list)
+                            for kind, d in zip(kinds, dicts))):
                 return None
             stored = {}
             for name in fields:
                 k = names.index(name)
-                first, last = firsts[k], firsts[k + 1]
-                lines = memoryview(read(starts[first], starts[last] - starts[first]))
-                parts = [lines[starts[j] - starts[first]:starts[j + 1] - starts[first]] for j in range(first, last)]
-                stored[name] = _Stored(kinds[k], entries[k], parts, list(crcs[first:last]))
+                stored[name] = _Stored(kinds[k], dicts[k], os.pread(fd, sizes[k], starts[k]), crcs[k])
             return cls(stamp, h["end"], h["rows"], stored)
         except (ValueError, LookupError, TypeError):
             return None
@@ -631,21 +586,18 @@ class ArtifactStore:
         """The index of the open store with ``fields`` checked and parsed.
 
         It is the sidecar's when its header matches the store and each of
-        ``fields`` passes its check. A read reads only the header and the
-        lines of ``fields``; an ``append``, which writes the sidecar again,
-        reads all of it. Else the index is rebuilt from the store, and saved
-        unless it is for an append, which saves it after adding its row.
+        ``fields`` passes its check. It reads only the header and the lines of
+        ``fields``, but an ``append``, which writes the sidecar again, reads
+        every line. Else the index is rebuilt from the store, and saved unless
+        it is for an append, which saves it after adding its row.
         """
         stamp = _stamp(fh)
         try:
-            if append:
-                index = StoreIndex.parse(self.index_path.read_bytes(), stamp)
-            else:
-                fd = os.open(self.index_path, os.O_RDONLY)
-                try:
-                    index = StoreIndex.read(fd, stamp, fields)
-                finally:
-                    os.close(fd)
+            fd = os.open(self.index_path, os.O_RDONLY)
+            try:
+                index = StoreIndex.read(fd, stamp, _index_fields() if append else fields)
+            finally:
+                os.close(fd)
             if index is not None:
                 index.check(*fields)
         except (OSError, SidecarDamaged):
@@ -697,7 +649,7 @@ class ArtifactStore:
         """
         line = _line(record).encode()
         with self._locked(exclusive=True) as fh:
-            index = self._index(fh, ("image_tag",), append=True)  # every other column is extended unread
+            index = self._index(fh, ("image_tag",), append=True)  # every other column is extended unparsed
             if record.image_tag in index.column("image_tag"):
                 raise DuplicateTagError(f"duplicate image_tag: {record.image_tag}")
             prefix = b""

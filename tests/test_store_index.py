@@ -10,6 +10,7 @@ import math
 import os
 import re
 import struct
+import tempfile
 import zlib
 from array import array
 
@@ -178,61 +179,59 @@ reads = st.one_of(
 )
 
 
-# the part lines of a sidecar column of each kind, in order: a compact JSON list, or one little-endian word a row
-PART_FORMS = {"int": ("<q",), "dict": ("json", "<I"), "json": ("json",)}
+# the form of a sidecar column's line, by its kind: a compact JSON list, or one little-endian word a row
+LINE_FORMS = {"int": "<q", "dict": "<I", "json": "json"}
 
 
-def column_lines(kind: str, values: list) -> list[bytes]:
-    """A column's part lines, newline included, written without the store's encoders."""
-    def words(form, items):
-        return b"".join(struct.pack(form, v) for v in items) + b"\n"
-
-    def listed(items):
-        return json.dumps(items, separators=(",", ":")).encode() + b"\n"
-
-    if kind == "int":
-        return [words("<q", values)]
-    if kind == "dict":
-        entries = list(dict.fromkeys(values))
-        return [listed(entries), words("<I", map(entries.index, values))]
-    return [listed(values)]
+def column_line(kind: str, values: list) -> tuple[bytes, list | None]:
+    """A column's line, newline included, and its dictionary (None unless ``dict``), written without the store's
+    encoders."""
+    if kind == "json":
+        return json.dumps(values, separators=(",", ":")).encode() + b"\n", None
+    dictionary = list(dict.fromkeys(values)) if kind == "dict" else None
+    words = values if dictionary is None else map(dictionary.index, values)
+    return b"".join(struct.pack(LINE_FORMS[kind], v) for v in words) + b"\n", dictionary
 
 
-def frame_sidecar(head: dict, columns: list[list[bytes]]) -> bytes:
-    """A format-4 sidecar of ``columns``' part lines: the prologue (the header line's size and CRC-32 as 8 hex
-    digits each), the compact JSON header with the size of each part line and its CRC-32 without its closing
-    bytes (``]`` and the newline, or the newline) as the hex of little-endian uint32 words, then the lines."""
-    lines = [line for parts in columns for line in parts]
-    forms = [form for kind in head["kinds"] for form in PART_FORMS[kind]]
+def frame_sidecar(head: dict, lines: list[bytes]) -> bytes:
+    """A format-5 sidecar of one line a column: the prologue (the header line's size and CRC-32 as 8 hex digits
+    each), the compact JSON header with the size of each line and its CRC-32 without its closing bytes (``]`` and
+    the newline, or the newline) as the hex of little-endian uint32 words, then the lines."""
     sizes = b"".join(struct.pack("<I", len(line)) for line in lines).hex()
-    crcs = b"".join(struct.pack("<I", zlib.crc32(line[:-2] if form == "json" else line[:-1]))
-                    for form, line in zip(forms, lines)).hex()
+    crcs = b"".join(struct.pack("<I", zlib.crc32(line[:-2] if kind == "json" else line[:-1]))
+                    for kind, line in zip(head["kinds"], lines)).hex()
     header = json.dumps({**head, "sizes": sizes, "crcs": crcs}, separators=(",", ":")).encode() + b"\n"
     return b"%08x %08x\n" % (len(header), zlib.crc32(header)) + header + b"".join(lines)
 
 
-def read_sidecar(data: bytes) -> tuple[dict, dict[str, tuple[int, list[bytes]]]]:
-    """The header of a format-4 sidecar and, per field, where its part lines start and the lines."""
+def read_sidecar(data: bytes) -> tuple[dict, dict[str, tuple[int, bytes]]]:
+    """The header of a format-5 sidecar and, per field, where its line starts and the line."""
     size = int(data[:8], 16)
     head = json.loads(data[18:18 + size])
     sizes = [n for (n,) in struct.iter_unpack("<I", bytes.fromhex(head["sizes"]))]
     at, columns = 18 + size, {}
-    for name, kind in zip(head["fields"], head["kinds"]):
-        columns[name] = (at, [])
-        for _ in PART_FORMS[kind]:
-            columns[name][1].append(data[at:at + sizes.pop(0)])
-            at += len(columns[name][1][-1])
-    assert at == len(data) and not sizes
+    for name, n in zip(head["fields"], sizes, strict=True):
+        columns[name] = (at, data[at:at + n])
+        at += n
+    assert at == len(data)
     return head, columns
 
 
 def reframe(data: bytes, **changes) -> bytes:
-    """``data`` framed again, checks and all, with header keys or columns' part lines replaced."""
+    """``data`` framed again, checks and all, with header keys or columns' lines replaced."""
     head, columns = read_sidecar(data)
-    lines = {name: parts for name, (_, parts) in columns.items()}
+    lines = {name: line for name, (_, line) in columns.items()}
     lines.update(changes.pop("lines", {}))
     head = {k: v for k, v in head.items() if k not in ("sizes", "crcs")} | changes
     return frame_sidecar(head, [lines[name] for name in head["fields"]])
+
+
+def parse(data: bytes, stamp: list):
+    """What ``StoreIndex.read`` makes of the sidecar bytes ``data`` with every column named, as an append reads."""
+    with tempfile.TemporaryFile() as fh:
+        fh.write(data)
+        fh.flush()
+        return store_mod.StoreIndex.read(fh.fileno(), stamp, SIDECAR_FIELDS)
 
 
 def change_sidecar(store: ArtifactStore, state: str) -> None:
@@ -242,9 +241,9 @@ def change_sidecar(store: ArtifactStore, state: str) -> None:
     elif state == "corrupt" and idx.exists():
         idx.write_bytes(idx.read_bytes()[: idx.stat().st_size // 2])
     elif state == "old_version" and idx.exists():
-        # whole and for this store by every check of format 4, but of version 3, whose lines mean other things
+        # whole and for this store by every check of format 5, but of version 4, whose lines mean other things
         _, columns = read_sidecar(idx.read_bytes())
-        idx.write_bytes(reframe(idx.read_bytes(), version=3,
+        idx.write_bytes(reframe(idx.read_bytes(), version=4,
                                 lines={"offset": columns["length"][1], "length": columns["offset"][1]}))
     elif state == "new_inode" and store.path.read_bytes().endswith(b"\n"):
         # the same size and mtime, other content: only the inode tells the old index from the new store
@@ -318,6 +317,36 @@ class TestIndexAnswersAsFullDecode:
         assert sorted(p.name for p in path.parent.iterdir()) == ["store.jsonl", "store.jsonl.idx"]
 
 
+# RETYPES, a null that makes an int column json, and a null and a bool that a dict column takes as they are
+GROWTH_RETYPES = (*RETYPES, ("num_changes", None), ("branch", None), ("category", True))
+
+
+class TestGrownSidecarIsRebuilt:
+    @settings(derandomize=True, deadline=None, max_examples=60,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    # 66 distinct branches in 131 rows, then a 132nd: a dictionary limit of half the rows would rebuild that as dict
+    @example(first=66, repeats=65, steps=[(0, 0, None)])
+    @given(first=st.integers(58, 70), repeats=st.integers(0, 80), steps=st.lists(
+        st.tuples(st.integers(0, 68), st.integers(0, 68), st.none() | st.sampled_from(GROWTH_RETYPES)),
+        min_size=1, max_size=8))
+    def test_every_append_writes_the_sidecar_of_a_rebuild(self, tmp_path_factory, first, repeats, steps):
+        """From a store whose branch column holds about 64 distinct values, in as many rows or up to 80 more, each
+        append of a branch and a merge_timestamp from pools of 69, some with a field set to a value of another
+        type, leaves the bytes that a rebuild of the store writes."""
+        path = tmp_path_factory.mktemp("store") / "store.jsonl"
+        store = ArtifactStore(path)
+        with path.open("ab") as fh:
+            fh.writelines(raw_line(dataclasses.replace(mk_record(tag=f"a-b-{k}"), branch=f"b{min(k, first - 1)}"))
+                          for k in range(first + repeats))
+        store.index()
+        for k, (branch, merged, retype) in enumerate(steps, first + repeats):
+            record = dataclasses.replace(mk_record(tag=f"a-b-{k}"), branch=f"b{branch}", merge_timestamp=f"t{merged}")
+            store.persist(retyped(record, *retype) if retype else record)
+            with path.open("rb") as fh:
+                built = store._build(fh)
+            assert store.index_path.read_bytes() == b"".join(built.dump())
+
+
 # --- fixed cases --------------------------------------------------------------
 
 
@@ -347,7 +376,7 @@ class TestSidecar:
         data = two_records.index_path.read_bytes()
         head, _ = read_sidecar(data)
         assert store_mod._index_fields() == head["fields"] == SIDECAR_FIELDS
-        assert head["version"] == store_mod.INDEX_VERSION == 4
+        assert head["version"] == store_mod.INDEX_VERSION == 5
         # the whole file, written from the records' values with this file's own encoders
         sizes = [len(line) for line in two_records.path.read_bytes().splitlines(keepends=True)]
         values = {name: [row[name] for row in (flat(r) for r in two_records.load())] for name in SIDECAR_FIELDS[:-4]}
@@ -357,15 +386,16 @@ class TestSidecar:
         kinds = {name: "int" if name in (NUMERIC_FIELDS | {"offset", "length"}) - {"pr_number"} else "dict"
                  for name in SIDECAR_FIELDS} | {"error_tags": "json"}
 
-        columns = [column_lines(kinds[name], values[name]) for name in SIDECAR_FIELDS]
-        entries = [len(dict.fromkeys(values[name])) if kinds[name] == "dict" else 0 for name in SIDECAR_FIELDS]
-        expected = frame_sidecar({"version": 4, "stamp": head["stamp"], "end": sizes[0] + sizes[1], "rows": 2,
+        lines, dicts = zip(*(column_line(kinds[name], values[name]) for name in SIDECAR_FIELDS))
+        expected = frame_sidecar({"version": 5, "stamp": head["stamp"], "end": sizes[0] + sizes[1], "rows": 2,
                                   "fields": SIDECAR_FIELDS, "kinds": [kinds[name] for name in SIDECAR_FIELDS],
-                                  "entries": entries}, columns)
+                                  "dicts": list(dicts)}, list(lines))
         # the second persist reused the dictionary entry of each value it already held
         assert data == expected
-        assert read_sidecar(data)[1]["slug"][1] == [b'["acme/widgets"]\n', b"\0\0\0\0\0\0\0\0\n"]
-        assert read_sidecar(data)[1]["num_changes"][1] == [struct.pack("<2q", 10, 600) + b"\n"]
+        assert head["dicts"][SIDECAR_FIELDS.index("slug")] == ["acme/widgets"]
+        assert read_sidecar(data)[1]["slug"][1] == b"\0\0\0\0\0\0\0\0\n"
+        assert head["dicts"][SIDECAR_FIELDS.index("num_changes")] is None
+        assert read_sidecar(data)[1]["num_changes"][1] == struct.pack("<2q", 10, 600) + b"\n"
         # a rebuild writes the same file
         two_records.index_path.unlink()
         two_records.index()
@@ -403,25 +433,23 @@ class TestSidecar:
 
     def test_sidecar_with_altered_body_is_rebuilt(self, two_records):
         data = two_records.index_path.read_bytes()
-        at, (line,) = read_sidecar(data)[1]["num_changes"]
+        at, line = read_sidecar(data)[1]["num_changes"]
         assert line == struct.pack("<2q", 10, 600) + b"\n"
         # the header still matches the store; only the CRC tells
         two_records.index_path.write_bytes(data[:at] + struct.pack("<2q", 10, 100) + data[at + len(line) - 1:])
         assert [r.image_tag for r in decode_lines(two_records.query("num_changes>=500"))] == ["a-b-2"]
-        assert read_sidecar(two_records.index_path.read_bytes())[1]["num_changes"][1] == [line]
+        assert read_sidecar(two_records.index_path.read_bytes())[1]["num_changes"][1] == line
 
     @pytest.mark.parametrize("field", ["num_files_changed", "error_tags", "offset", "verbatim"])
     def test_persist_carries_a_damaged_column_it_did_not_read_as_damaged(self, two_records, field):
         data = bytearray(two_records.index_path.read_bytes())
-        at, lines = read_sidecar(data)[1][field]
-        if len(lines) == 2:  # a dict column, whose dictionary an append reads: its codes
-            at += len(lines[0])
-        data[at + 1] ^= 1  # the second byte of the column's first line that the append does not read
+        at, _ = read_sidecar(data)[1][field]
+        data[at + 1] ^= 1  # the second byte of the column's line, which the append does not parse
         two_records.index_path.write_bytes(data)
-        two_records.persist(mk_record(tag="a-b-3"))  # reads the image_tag column only
+        two_records.persist(mk_record(tag="a-b-3"))  # parses the image_tag column only
         # the damage is still there, and still fails the check of its column after the append
         data = two_records.index_path.read_bytes()
-        index = store_mod.StoreIndex.parse(data, read_sidecar(data)[0]["stamp"])
+        index = parse(data, read_sidecar(data)[0]["stamp"])
         with pytest.raises(store_mod.SidecarDamaged, match=repr(field)):
             index.column(field)
         with two_records.path.open("rb") as fh:
@@ -442,12 +470,17 @@ class TestSidecar:
         assert head["rows"] == 3 and head["kinds"][SIDECAR_FIELDS.index("num_changes")] == "json"
         assert decode_lines(two_records.query("num_changes>=600")) == two_records.load()[1:]
 
-    def test_persist_rebuilds_when_a_dictionary_it_reads_is_damaged(self, two_records):
+    def test_persist_rebuilds_when_a_dictionary_it_reads_is_damaged(self, two_records, monkeypatch):
         data = bytearray(two_records.index_path.read_bytes())
-        at, _ = read_sidecar(data)[1]["primary_language"]
-        data[at + 1] ^= 1  # in the dictionary, whose entry the appended Java reuses
+        at = data.index(b'["Java","Python"]')  # the primary_language dictionary, whose entry the appended Java reuses
+        assert at < read_sidecar(data)[1]["image_tag"][0]  # in the header, whose CRC-32 covers it
+        data[at + 2] ^= 1
         two_records.index_path.write_bytes(data)
+        rebuilt = []
+        build = ArtifactStore._build
+        monkeypatch.setattr(ArtifactStore, "_build", lambda self, fh: rebuilt.append(1) or build(self, fh))
         two_records.persist(mk_record(tag="a-b-3", language="Java"))
+        assert rebuilt == [1]
         with two_records.path.open("rb") as fh:
             built = two_records._build(fh)
         assert two_records.index_path.read_bytes() == b"".join(built.dump())
@@ -455,25 +488,48 @@ class TestSidecar:
 
     def test_a_store_grown_by_persist_has_the_sidecar_of_a_rebuild(self, tmp_path):
         store = ArtifactStore(tmp_path / "store.jsonl")
-        limit = store_mod._DICT_FLOOR
-        for k in range(limit + 6):
-            store.persist(mk_record(tag=f"a-b-{k}", language=("Java", "Python")[k % 3 == 0], changes=k))
+        limit = store_mod._DICT_LIMIT
+        for k in range(140):  # 65 distinct branches, then those again: more than twice as many rows
+            record = mk_record(tag=f"a-b-{k}", language=("Java", "Python")[k % 3 == 0], changes=k)
+            store.persist(dataclasses.replace(record, branch=f"b{k % (limit + 1)}"))
             kinds = dict(zip(SIDECAR_FIELDS, read_sidecar(store.index_path.read_bytes())[0]["kinds"]))
-            # a distinct tag a row: a dict column up to the limit of its dictionary, then a json list
-            assert kinds["image_tag"] == ("dict" if k < limit else "json"), k
+            # a distinct tag or branch a row: a dict column up to the limit of its dictionary, then a json list
+            assert kinds["image_tag"] == kinds["branch"] == ("dict" if k < limit else "json"), k
         data = store.index_path.read_bytes()
-        head, columns = read_sidecar(data)
-        assert head["entries"][SIDECAR_FIELDS.index("primary_language")] == 2
-        assert columns["primary_language"][1][0] == b'["Python","Java"]\n'
+        assert read_sidecar(data)[0]["dicts"][SIDECAR_FIELDS.index("primary_language")] == ["Python", "Java"]
         store.index_path.unlink()
         store.index()
         assert store.index_path.read_bytes() == data
 
+    @pytest.mark.parametrize("rows", [64, 1000])
+    def test_a_dictionary_holds_64_entries_whatever_the_row_count(self, tmp_path, rows):
+        store = ArtifactStore(tmp_path / "store.jsonl")
+
+        def branched(k: int, branch: str) -> ArtifactMetadata:
+            return dataclasses.replace(mk_record(tag=f"a-b-{k}"), branch=branch)
+
+        def branch_kind() -> str:
+            """The kind of the branch column, once the sidecar is checked to be what a rebuild writes."""
+            data = store.index_path.read_bytes()
+            store.index_path.unlink()
+            store.index()
+            assert store.index_path.read_bytes() == data
+            return read_sidecar(data)[0]["kinds"][SIDECAR_FIELDS.index("branch")]
+
+        assert store_mod._DICT_LIMIT == 64
+        with store.path.open("ab") as fh:  # 63 distinct branches, then those again
+            fh.writelines(raw_line(branched(k, f"b{k % 63}")) for k in range(rows - 1))
+        store.index()
+        store.persist(branched(rows - 1, "b63"))  # the 64th distinct branch
+        assert branch_kind() == "dict"
+        store.persist(branched(rows, "b64"))  # the 65th
+        assert branch_kind() == "json"
+
     def test_an_index_reads_the_rows_added_to_it(self, two_records):
         data = two_records.index_path.read_bytes()
         stamp = read_sidecar(data)[0]["stamp"]
-        index = store_mod.StoreIndex.parse(data, stamp)
-        index.check(*SIDECAR_FIELDS)  # every column parsed, and still held as its sidecar lines too
+        index = parse(data, stamp)
+        index.check(*SIDECAR_FIELDS)  # every column parsed, and still held as its sidecar line too
         line = raw_line(mk_record(tag="a-b-3", language="Python", changes=2 ** 63))
         with two_records.path.open("ab") as fh:
             fh.write(line)
@@ -482,7 +538,7 @@ class TestSidecar:
             built = two_records._build(fh)
         want = {name: list(built.column(name)) for name in SIDECAR_FIELDS}
         assert {name: list(index.column(name)) for name in SIDECAR_FIELDS} == want
-        again = store_mod.StoreIndex.parse(b"".join(index.dump()), stamp)
+        again = parse(b"".join(index.dump()), stamp)
         assert {name: list(again.column(name)) for name in SIDECAR_FIELDS} == want
 
     @pytest.mark.parametrize("field, value", RETYPES)
@@ -514,18 +570,20 @@ class TestSidecar:
         with twenty.path.open("rb") as fh:
             stamp = store_mod._stamp(fh)
         if damage == "rows_past_every_column":  # every CRC is the writer's own
-            index = store_mod.StoreIndex.parse(data, stamp)
+            index = parse(data, stamp)
             index.rows += 1
             data = b"".join(index.dump())
         elif damage == "a_value_short":
-            data = reframe(data, lines={"error_tags": [json.dumps([["NullPointerException"]] * 19).encode() + b"\n"]})
-        elif damage == "a_dictionary_short":  # one entry of the header's two, which the codes still name
-            _, codes = read_sidecar(data)[1]["primary_language"][1]
-            data = reframe(data, lines={"primary_language": [b'["Python"]\n', codes]})
+            data = reframe(data, lines={"error_tags": json.dumps([["NullPointerException"]] * 19).encode() + b"\n"})
+        elif damage == "a_dictionary_short":  # one entry of the two, which the codes still name
+            head, _ = read_sidecar(data)
+            k = SIDECAR_FIELDS.index("primary_language")
+            assert head["dicts"][k] == ["Python", "Java"]
+            data = reframe(data, dicts=head["dicts"][:k] + [["Python"]] + head["dicts"][k + 1:])
         else:  # the primary_language column: one code fewer than rows, or a code past its two entries
-            entries, codes = read_sidecar(data)[1]["primary_language"][1]
+            codes = read_sidecar(data)[1]["primary_language"][1]
             codes = codes[:-5] + (b"" if damage == "a_code_short" else struct.pack("<I", 2)) + b"\n"
-            data = reframe(data, lines={"primary_language": [entries, codes]})
+            data = reframe(data, lines={"primary_language": codes})
         twenty.index_path.write_bytes(data)
         # a read under the lock rebuilds the index and answers as the store does
         main(["query", "language=java", "--store", str(twenty.path)])
@@ -536,13 +594,13 @@ class TestSidecar:
         assert twenty.index_path.read_bytes() != data
         field = "error_tags" if damage == "a_value_short" else "primary_language"
         with pytest.raises(store_mod.SidecarDamaged, match=repr(field)):
-            store_mod.StoreIndex.parse(data, stamp).column(field)
+            parse(data, stamp).column(field)
 
     def test_reads_read_the_header_and_their_columns_only(self, twenty, monkeypatch, capsys):
         data = twenty.index_path.read_bytes()
         head, columns = read_sidecar(data)
         ino = twenty.index_path.stat().st_ino
-        spans = {name: range(at, at + sum(map(len, lines))) for name, (at, lines) in columns.items()}
+        spans = {name: range(at, at + len(line)) for name, (at, line) in columns.items()}
         spans["header"] = range(columns[SIDECAR_FIELDS[0]][0])
         reads, opened = [], []  # (offset, size) of each pread of the sidecar, and each path opened with open()
         pread, io_open = os.pread, io.open
@@ -598,7 +656,7 @@ class TestSidecar:
         assert stats(store.index(), "changes")["bins"]["1-5"] == 0
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("layout", ["version_1", "version_1_with_verbatim", "version_2", "version_3"])
+    @pytest.mark.parametrize("layout", ["version_1", "version_1_with_verbatim", "version_2", "version_3", "version_4"])
     def test_version_1_sidecar_is_rebuilt(self, two_records, monkeypatch, layout):
         # a line that is not the codec's encoding; a sidecar that marked it verbatim would have it copied
         with two_records.path.open("ab") as fh:
@@ -622,6 +680,16 @@ class TestSidecar:
             head |= {"sizes": [len(line) for line in lines], "crcs": [zlib.crc32(line[:-1]) for line in lines]}
             header = json.dumps(head).encode() + b"\n"
             sidecar = header + b"".join(line + b"\n" for line in lines) + b"%d\n" % zlib.crc32(header)
+        elif layout == "version_4":
+            # a prologue, then a header with each column's kind and dictionary size and each part line's size and
+            # CRC-32 without its closing bytes; verbatim is a dict column of two part lines, its dictionary and codes
+            parts = [line + b"\n" for line in lines[:-1]] + [b"[true]\n", struct.pack("<3I", 0, 0, 0) + b"\n"]
+            crcs = [zlib.crc32(part[:-2]) for part in parts[:-1]] + [zlib.crc32(parts[-1][:-1])]
+            head |= {"kinds": ["json"] * (len(lines) - 1) + ["dict"], "entries": [0] * (len(lines) - 1) + [1],
+                     "sizes": struct.pack(f"<{len(parts)}I", *map(len, parts)).hex(),
+                     "crcs": struct.pack(f"<{len(parts)}I", *crcs).hex()}
+            header = json.dumps(head, separators=(",", ":")).encode() + b"\n"
+            sidecar = b"%08x %08x\n" % (len(header), zlib.crc32(header)) + header + b"".join(parts)
         else:  # a header, one JSON list per field, then the CRC-32 of everything before it
             body = b"".join([json.dumps(head).encode() + b"\n", *(line + b"\n" for line in lines)])
             sidecar = body + b"%d\n" % zlib.crc32(body)
@@ -632,7 +700,7 @@ class TestSidecar:
         assert two_records.query("branch=master") == [json.dumps(r.to_dict()) + "\n"
                                                       for r in oracle_records(two_records.path)]
         assert built == [1]
-        assert read_sidecar(two_records.index_path.read_bytes())[0]["version"] == 4
+        assert read_sidecar(two_records.index_path.read_bytes())[0]["version"] == 5
 
     def test_unwritable_sidecar_keeps_the_index_in_memory(self, two_records, monkeypatch):
         two_records.index_path.unlink()
@@ -874,17 +942,16 @@ class TestDecodeCount:
         (used,) = indexes
         parsed = {name for name, values in used._values.items() if values is not None}
         assert parsed == {"primary_language", "num_changes", "offset", "length", "verbatim"}
-        # no CRC-32 of the whole sidecar: one of the header line and one of each part line of each parsed column
-        # without its closing bytes
+        # no CRC-32 of the whole sidecar: one of the header line and one of the line of each parsed column without
+        # its closing bytes
         head, columns = read_sidecar(sidecar)
         kinds = dict(zip(head["fields"], head["kinds"]))
         assert {name: kinds[name] for name in parsed} == {
             "primary_language": "dict", "num_changes": "int", "offset": "int", "length": "int", "verbatim": "dict"}
         header = sidecar[18:columns["image_tag"][0]]
-        assert sorted(covered) == sorted([header, *(line[:-2] if form == "json" else line[:-1] for name in parsed
-                                                    for form, line in zip(PART_FORMS[kinds[name]], columns[name][1]))])
-        # json.loads reads the header and the dictionaries of the two dict columns only: no int column
-        assert sorted(parsed_texts) == sorted([header, columns["primary_language"][1][0], columns["verbatim"][1][0]])
+        assert sorted(covered) == sorted([header, *(columns[name][1][:-1] for name in parsed)])
+        # json.loads reads the header only, which holds the dictionaries of the two dict columns: no column line
+        assert parsed_texts == [header]
         assert all(type(used.column(name)) is array for name in ("num_changes", "offset", "length"))
 
 
@@ -1077,13 +1144,13 @@ class TestSidecarParse:
         stamp = head["stamp"]
         with path.open("rb") as fh:
             original = {name: list(store._build(fh).column(name)) for name in SIDECAR_FIELDS}
-        parsed = store_mod.StoreIndex.parse(data, stamp)
+        parsed = parse(data, stamp)
         assert {name: list(parsed.column(name)) for name in SIDECAR_FIELDS} == original
         reads = every_read(store, tags)
         store.index_path.unlink()
         want = [outcome(read) for read in reads]
-        at, lines = columns[field]
-        inside = range(at, at + sum(map(len, lines)))  # the column's part lines
+        at, line = columns[field]
+        inside = range(at, at + len(line))  # the column's line
         flips = [*range(columns[SIDECAR_FIELDS[0]][0]), *inside]  # the prologue and the header, and one column
         mutants = [(None, data[:cut]) for cut in range(len(data))]
         mutants += [(k, data[:k] + bytes([data[k] ^ mask]) + data[k + 1:]) for k in flips]
@@ -1091,7 +1158,7 @@ class TestSidecarParse:
             # a read that rebuilds leaves the damaged sidecar in place, so every read below meets it
             patch.setattr(ArtifactStore, "_save", lambda self, index: None)
             for n, (flipped, mutant) in enumerate(mutants):
-                index = store_mod.StoreIndex.parse(mutant, stamp)
+                index = parse(mutant, stamp)
                 assert flipped is not None or index is None  # a cut sidecar is never read
                 got = {}
                 for name in SIDECAR_FIELDS if index is not None else ():
