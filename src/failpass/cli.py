@@ -13,8 +13,8 @@ from pathlib import Path
 from . import analyzer
 from .connector import CloneScope, ConnectorError, ProjectNotFound, make_connector
 from .miner import mine
-from .model import JobPair, parse_timestamp, replace_file
-from .pairfilter import DEFAULT_DOCKER_CUTOFF, CatalogError, FilterVerdict, filter_pairs, load_catalog
+from .model import JobPair, check_writable, replace_file
+from .pairfilter import CatalogError, FilterVerdict, filter_pairs, load_catalog
 from .reproducer import (
     DEFAULT_REPEATS,
     DEFAULT_TIMEOUT_S,
@@ -35,19 +35,16 @@ def _write_jsonl(path, records):
 
 
 def _read_jsonl(path, decode):
-    """``decode`` of each non-blank line's JSON; a bad line or file exits naming the file (and line number)."""
+    """``decode`` of each non-blank line's JSON; a bad line exits naming the file and line number."""
     out = []
-    try:
-        with open(path, "rb") as fh:  # json.loads decodes each line, so bad bytes name their line
-            for line_no, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    out.append(decode(json.loads(line)))
-                except (ValueError, TypeError, KeyError, AttributeError) as exc:
-                    raise SystemExit(f"failpass: {path}, line {line_no}: {type(exc).__name__}: {exc}") from None
-    except OSError as exc:
-        raise SystemExit(f"failpass: {path}: {exc.strerror}") from None
+    with open(path, "rb") as fh:  # json.loads decodes each line, so bad bytes name their line
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                out.append(decode(json.loads(line)))
+            except (ValueError, TypeError, KeyError, AttributeError) as exc:
+                raise SystemExit(f"failpass: {path}, line {line_no}: {type(exc).__name__}: {exc}") from None
     return out
 
 
@@ -69,8 +66,7 @@ def cmd_filter(args):
     connector = make_connector(args.fixture)
     pairs = _read_jsonl(args.pairs, JobPair.from_dict)
     catalog = load_catalog(args.catalog)
-    cutoff = parse_timestamp(args.docker_cutoff) if args.docker_cutoff else DEFAULT_DOCKER_CUTOFF
-    verdicts, counts = filter_pairs(pairs, connector.fetch_job_log, catalog, cutoff=cutoff)
+    verdicts, counts = filter_pairs(pairs, connector.fetch_job_log, catalog)
     _write_jsonl(args.out, [v.to_dict() for v in verdicts])
     for c in counts:
         print(f"{c.stage.value}: {c.count}", file=sys.stderr)
@@ -81,6 +77,8 @@ _verdict_from_dict = FilterVerdict.from_dict
 
 
 def cmd_reproduce(args):
+    if args.out != "-":  # an --out that cannot be written ends the command before its first pair, not after its last
+        check_writable(args.out)
     connector = make_connector(args.fixture)
     verdicts = _read_jsonl(args.verdicts, _verdict_from_dict)
     runtime = default_runtime()
@@ -196,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", required=True)
     p.add_argument("--catalog", required=True, help="base image catalog JSON")
     p.add_argument("--out", default="-")
-    p.add_argument("--docker-cutoff", help="container-era cutoff, ISO-8601")
     p.add_argument("--fixture")
 
     p = sub.add_parser("reproduce", help="reproduce filtered pairs with the stability protocol")
@@ -246,6 +243,8 @@ def main(argv=None) -> int:
         # errors in what the user gave: a malformed query, a store line that cannot be read, an unknown
         # artifact, a missing fixture or project, a bad catalog; or a container engine that failed or is absent
         raise SystemExit(f"failpass: {exc}") from None
+    except OSError as exc:  # a path the user gave that cannot be read or written
+        raise SystemExit(f"failpass: {exc.filename}: {exc.strerror}" if exc.filename else f"failpass: {exc}") from None
     return 0
 
 

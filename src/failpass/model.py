@@ -221,17 +221,33 @@ def _from_dict(cls, d: dict):
     return _class_codec(cls)[1](d)
 
 
+def _open_temp(path: Path):
+    """``(tmp, file)``: ``.<name>.<pid>.tmp`` beside ``path``, open for writing; an OSError names ``path``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        return tmp, open(tmp, "wb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+
+
 def replace_file(path, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` over ``path`` via ``.<name>.<pid>.tmp`` and ``os.replace``; any error removes the temp file."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp, fh = _open_temp(path)
     try:
-        with open(tmp, "wb") as fh:
+        with fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def check_writable(path) -> None:
+    """Raise the OSError ``replace_file(path, ...)`` would raise for a temp file it cannot make; leave nothing."""
+    tmp, fh = _open_temp(Path(path))
+    fh.close()
+    tmp.unlink()
 
 
 def json_record(cls):

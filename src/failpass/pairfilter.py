@@ -23,7 +23,7 @@ from .model import (
     parse_timestamp,
 )
 
-DEFAULT_DOCKER_CUTOFF = datetime(2014, 12, 1, tzinfo=timezone.utc)
+DEFAULT_DOCKER_CUTOFF = datetime(2014, 12, 1, tzinfo=timezone.utc)  # Travis CI's container cutover
 CONTAINER_WORKER_RE = re.compile(r"worker-[A-Za-z0-9._-]+")
 
 _INSTANCE_RE = re.compile(r"^Using worker:\s*(\S+?)(?::\S+)?\s*$", re.MULTILINE)
@@ -85,9 +85,10 @@ def extract_runtime_markers(log_text: str) -> Optional[RuntimeMarkers]:
     return RuntimeMarkers(timestamp=stamp, instance_name=inst.group(1))
 
 
-def is_docker_era(markers: RuntimeMarkers, cutoff: datetime = DEFAULT_DOCKER_CUTOFF) -> bool:
+def is_docker_era(markers: RuntimeMarkers) -> bool:
     """Did the job run on a container worker after the container cutover?"""
-    return markers.timestamp >= cutoff and CONTAINER_WORKER_RE.fullmatch(markers.instance_name) is not None
+    return (markers.timestamp >= DEFAULT_DOCKER_CUTOFF
+            and CONTAINER_WORKER_RE.fullmatch(markers.instance_name) is not None)
 
 
 class CatalogError(Exception):
@@ -134,12 +135,8 @@ def locate_base_image(markers: RuntimeMarkers, language: str, catalog: list[dict
     )
 
 
-def filter_pairs(
-    pairs: list[JobPair],
-    fetch_log,
-    catalog: list[dict],
-    cutoff: datetime = DEFAULT_DOCKER_CUTOFF,
-) -> tuple[list[FilterVerdict], list[PipelineStageCount]]:
+def filter_pairs(pairs: list[JobPair], fetch_log,
+                 catalog: list[dict]) -> tuple[list[FilterVerdict], list[PipelineStageCount]]:
     """Run the funnel and report per-stage survivor counts.
 
     ``fetch_log(job_id) -> str | None`` supplies original fail-side logs;
@@ -159,7 +156,7 @@ def filter_pairs(
             continue
         counts[Stage.LOG_PRESENT] += 1
         markers = extract_runtime_markers(log_text)
-        if markers is None or not is_docker_era(markers, cutoff=cutoff):
+        if markers is None or not is_docker_era(markers):
             verdicts.append(FilterVerdict(pair, Stage.LOG_PRESENT, reject_reason="pre-container era or no worker header"))
             continue
         counts[Stage.DOCKER_ERA] += 1

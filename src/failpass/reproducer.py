@@ -205,13 +205,6 @@ def classify_unreproducible(log_text: str, timed_out: bool = False) -> str:
 
 
 @dataclass
-class SideResult:
-    matched: bool
-    outcome: Optional[ExecResult] = None
-    reason: Optional[str] = None
-
-
-@dataclass
 class ReproductionContext:
     """Everything an attempt needs: connector-backed data plus execution."""
 
@@ -301,144 +294,124 @@ def tree_unchanged(root: Path, fingerprint: dict[str, tuple]) -> bool:
     return seen == len(fingerprint)
 
 
-@dataclass
 class _Side:
-    """A side that runs: its job script, its commits, its tree and the fingerprint the tree is checked against."""
+    """One side of a pair, decided once per pair: what its attempts run with, or why every one fails.
 
-    script: str
-    coords: CommitCoordinates
-    tree: Optional[WorkTree] = None
-    fingerprint: Optional[dict] = None  # None when the tree could not be read
-    reserve: Optional[WorkTree] = None  # a tree no job runs in; each attempt after it is made runs in a copy
-    ran: bool = False  # a job has run in ``tree``
-
-
-class PairInputs:
-    """What every attempt of one pair needs, decided once per pair.
-
-    Each side gets its original log's attributes, its job script and its
-    tree under ``pair_dir``, in that order, or else the one reason every
-    attempt of the side fails without a run: original log absent, job
-    configuration missing, the script's or the tree's ``ReproductionError``
-    reason, or the message of a ``ConnectorError`` raised while the side's
-    original log is read or its tree is built. Nothing is built after that
-    reason. Jobs run in the tree as built. Its fingerprint is taken right
-    after the build, and before each later attempt the tree is checked
-    against it: a tree that differs, or cannot be read, is removed, so a job
-    that edits its tree cannot affect a later attempt. The first time that
-    happens the side's tree is built once more, as a reserve no job runs in,
-    and from then on each such attempt runs in a fresh copy of the reserve.
-    A reserve that cannot be built gives the side its reason from then on
-    (see ``reason``). Once any job of the command has changed its tree
-    (``ctx.trees_edited``), each side that has not run yet keeps its build as
+    The side gets its original log's attributes, its job script and its
+    tree under ``pair_dir``, in that order, or else its ``reason``: original
+    log absent, job configuration missing, the script's or the tree's
+    ``ReproductionError`` reason, or the message of a ``ConnectorError``
+    raised while its original log is read or its tree is built. Nothing is
+    built after that reason. Jobs run in the tree as built. Its fingerprint
+    is taken right after the build, and before each later attempt the tree
+    is checked against it: a tree that differs, or cannot be read, is
+    removed, so a job that edits its tree cannot affect a later attempt. The
+    first time that happens the tree is built once more, as a reserve no job
+    runs in, and from then on each such attempt runs in a fresh copy of the
+    reserve. A reserve that cannot be built gives the side its reason from
+    then on. Once any job of the command has changed its tree
+    (``ctx.trees_edited``), a side that has not run yet keeps its build as
     the reserve and runs every attempt in a copy, so a command whose jobs
     edit their trees builds one more tree only for the first side that does.
     """
 
-    def __init__(self, pair: JobPair, ctx: ReproductionContext, pair_dir: Path):
-        self._ctx = ctx
-        self._pair_dir = Path(pair_dir)
-        self._slug = pair.project.slug
-        jobs = {"fail": (pair.failed_job, pair.failed_commits), "pass": (pair.passed_job, pair.passed_commits)}
-        self.originals: dict[str, Optional[analyzer.LogAttributes]] = {}
-        # side -> what its attempts run with, or the reason every attempt of the side fails
-        self._sides: dict[str, _Side | str] = {}
-        for side, (job, _) in jobs.items():
-            try:
-                self.originals[side] = ctx.original_attributes(job.job_id)
-            except ConnectorError as exc:
-                self.originals[side], self._sides[side] = None, str(exc)
+    def __init__(self, pair: JobPair, name: str, ctx: ReproductionContext, pair_dir: Path):
+        job, self.coords = ((pair.failed_job, pair.failed_commits) if name == "fail"
+                            else (pair.passed_job, pair.passed_commits))
+        self.name, self._job_id, self._slug = name, job.job_id, pair.project.slug
+        self._ctx, self._pair_dir = ctx, pair_dir
+        self.reason: Optional[str] = None  # why every attempt of the side fails; None while it can run
+        self.script: Optional[str] = None
+        self.tree: Optional[WorkTree] = None
+        self.fingerprint: Optional[dict] = None  # None when the tree could not be read
+        self.reserve: Optional[WorkTree] = None  # a tree no job runs in; each attempt after it is made runs in a copy
+        self.ran = False  # a job has run in ``tree``
         self._copies = 0
-        for side, (job, coords) in jobs.items():
-            if side in self._sides:  # its original log could not be read
-                continue
-            config = ctx.raw_configs.get(job.job_id)
-            if self.originals[side] is None:
-                self._sides[side] = "original log absent"
-            elif config is None:
-                self._sides[side] = "job configuration missing"
+        try:
+            self.original: Optional[analyzer.LogAttributes] = ctx.original_attributes(job.job_id)
+        except ConnectorError as exc:
+            self.original, self.reason = None, str(exc)
+
+    def prepare(self) -> None:
+        """Generate the job script and build the tree, unless reading the original log gave the side its reason."""
+        if self.reason is not None:
+            return
+        config = self._ctx.raw_configs.get(self._job_id)
+        if self.original is None:
+            self.reason = "original log absent"
+        elif config is None:
+            self.reason = "job configuration missing"
+        else:
+            try:
+                self.script = generate_job_script(config)
+            except ReproductionError as exc:
+                self.reason = exc.reason
             else:
-                try:
-                    prepared = _Side(generate_job_script(config), coords)
-                except ReproductionError as exc:
-                    self._sides[side] = exc.reason
-                else:
-                    self._sides[side] = prepared
-                    self._build(side, prepared, self._pair_dir)
+                self._build(self._pair_dir)
 
-    def reason(self, side: str) -> Optional[str]:
-        """Why every attempt of the side fails, or None while it can run.
-
-        A side blocked after some of its attempts ran (its reserve could not
-        be built) counts as unmatched in those attempts too.
-        """
-        prepared = self._sides[side]
-        return prepared if isinstance(prepared, str) else None
-
-    def _build(self, side: str, prepared: _Side, parent: Path) -> bool:
-        """Build the side's tree as ``parent / side`` and take its fingerprint; False when that blocked the side."""
+    def _build(self, parent: Path) -> bool:
+        """Build the tree as ``parent / name`` and take its fingerprint; False when that gave the side its reason."""
         ctx = self._ctx
         archive_fetch = lambda sha, d: ctx.connector.fetch_archive_snapshot(self._slug, sha, d)
         try:
-            prepared.tree = revert_project(prepared.coords, ctx.connector.repo_path(self._slug), archive_fetch,
-                                           parent / side, clones=ctx.clones)
+            self.tree = revert_project(self.coords, ctx.connector.repo_path(self._slug), archive_fetch,
+                                       parent / self.name, clones=ctx.clones)
         except ReproductionError as exc:
-            self._sides[side] = exc.reason
+            self.reason = exc.reason
             return False
         except ConnectorError as exc:
-            self._sides[side] = str(exc)
+            self.reason = str(exc)
             return False
         try:
-            prepared.fingerprint = tree_fingerprint(prepared.tree.root)
+            self.fingerprint = tree_fingerprint(self.tree.root)
         except OSError:
-            prepared.fingerprint = None
+            self.fingerprint = None
         return True
 
-    def _tree(self, side: str, prepared: _Side) -> Optional[WorkTree]:
-        """The tree for the side's next job: once a job ran in it, replaced unless it still has its fingerprint.
+    def _next_tree(self) -> Optional[WorkTree]:
+        """The tree for the next job: once a job ran in it, replaced unless it still has its fingerprint.
 
-        None when the reserve could not be built and blocked the side.
+        None when the reserve could not be built and gave the side its reason.
         """
-        if prepared.ran:
+        if self.ran:
             try:
-                same = prepared.fingerprint is not None and tree_unchanged(prepared.tree.root, prepared.fingerprint)
+                same = self.fingerprint is not None and tree_unchanged(self.tree.root, self.fingerprint)
             except OSError:
                 same = False
             if not same:
                 self._ctx.trees_edited = True
                 # a new directory: an abandoned tree may hold files that cannot be removed
-                shutil.rmtree(prepared.tree.root, ignore_errors=True)
-                if prepared.reserve is None:
-                    if not self._build(side, prepared, self._pair_dir / "reserve"):
+                shutil.rmtree(self.tree.root, ignore_errors=True)
+                if self.reserve is None:
+                    if not self._build(self._pair_dir / "reserve"):
                         return None
-                    prepared.reserve = prepared.tree
-                prepared.tree = self._copy(side, prepared.reserve)
+                    self.reserve = self.tree
+                self.tree = self._copy()
         elif self._ctx.trees_edited:  # this command's jobs edit their trees: keep the first build as the reserve
-            prepared.reserve = prepared.tree
-            prepared.tree = self._copy(side, prepared.reserve)
-        prepared.ran = True
-        return prepared.tree
+            self.reserve = self.tree
+            self.tree = self._copy()
+        self.ran = True
+        return self.tree
 
-    def _copy(self, side: str, reserve: WorkTree) -> WorkTree:
+    def _copy(self) -> WorkTree:
         """A fresh copy of the reserve, which has the reserve's fingerprint: copytree keeps modes and mtimes."""
         self._copies += 1
-        work = self._pair_dir / f"copy-{self._copies}" / side
-        shutil.copytree(reserve.root, work, symlinks=True)
-        return WorkTree(root=work, construction=reserve.construction)
+        work = self._pair_dir / f"copy-{self._copies}" / self.name
+        shutil.copytree(self.reserve.root, work, symlinks=True)
+        return WorkTree(root=work, construction=self.reserve.construction)
 
-    def attempt(self, side: str, image: str) -> SideResult:
-        """One attempt of one side: unmatched with its reason if blocked, else run, analyze and compare."""
-        prepared = self._sides[side]
-        tree = None if isinstance(prepared, str) else self._tree(side, prepared)
+    def attempt(self, image: str) -> tuple[bool, Optional[str], Optional[str]]:
+        """One attempt: (matched, reason, log text), or unmatched with the side's reason and no log if it cannot run."""
+        tree = None if self.reason is not None else self._next_tree()
         if tree is None:
-            return SideResult(matched=False, reason=self.reason(side))
+            return False, self.reason, None
         ctx = self._ctx
         env = {SCRATCH_ENV: str(ctx.scratch_dir)} if ctx.scratch_dir else None
-        outcome = run_job(prepared.script, image, tree, ctx.timeout_s, ctx.runtime, env=env)
+        outcome = run_job(self.script, image, tree, ctx.timeout_s, ctx.runtime, env=env)
         reproduced = analyzer.analyze(outcome.log_text, ctx.language)
-        matched = analyzer.compare(self.originals[side], reproduced) and not outcome.timed_out
+        matched = analyzer.compare(self.original, reproduced) and not outcome.timed_out
         reason = None if matched else classify_unreproducible(outcome.log_text, timed_out=outcome.timed_out)
-        return SideResult(matched=matched, outcome=outcome, reason=reason)
+        return matched, reason, outcome.log_text
 
 
 def pair_id(pair: JobPair) -> str:
@@ -476,33 +449,37 @@ def stability_protocol(pair: JobPair, verdict: FilterVerdict, ctx: ReproductionC
     if ref is None:
         raise ValueError("pair did not reach the with_image stage")
     image = f"{ref.registry}/{ref.name}:{ref.tag}"
-    runs: list[dict[str, SideResult]] = []
+    pid = pair_id(pair)
+    runs: list[list[tuple[bool, Optional[str]]]] = []  # (matched, reason) of each side, per attempt
     # files a job leaves may not be removable (say, root-owned ones from a container); they stay, the run goes on
     with tempfile.TemporaryDirectory(prefix="failpass-pair-", ignore_cleanup_errors=True) as pair_dir:
-        inputs = PairInputs(pair, ctx, Path(pair_dir))
+        sides = [_Side(pair, name, ctx, Path(pair_dir)) for name in ("fail", "pass")]
+        for side in sides:
+            side.prepare()
         for k in range(n):
-            results = {side: inputs.attempt(side, image) for side in ("fail", "pass")}
-            if ctx.log_sink is not None:
-                for side, res in results.items():
-                    if res.outcome is not None:
-                        ctx.log_sink(pair_id(pair), k, side, res.outcome.log_text)
-            runs.append(results)
+            runs.append([])
+            for side in sides:
+                matched, reason, log_text = side.attempt(image)
+                if log_text is not None and ctx.log_sink is not None:
+                    ctx.log_sink(pid, k, side.name, log_text)
+                log_text = None  # the next job runs with no earlier log held
+                runs[k].append((matched, reason))
     # a side blocked after some of its attempts ran matches in none of them, so the pair cannot read as flaky
     attempts: list[tuple[bool, bool]] = []
     mismatch_reasons: list[Optional[str]] = []
-    for results in runs:
-        matched = {side: res.matched and inputs.reason(side) is None for side, res in results.items()}
-        attempts.append((matched["fail"], matched["pass"]))
-        mismatch_reasons += [res.reason or inputs.reason(side) for side, res in results.items() if not matched[side]]
+    for outcomes in runs:
+        matched = [m and side.reason is None for side, (m, _) in zip(sides, outcomes)]
+        attempts.append(tuple(matched))
+        mismatch_reasons += [r or side.reason for side, (_, r), ok in zip(sides, outcomes, matched) if not ok]
     stability = stability_from_attempts(attempts)
     category = None
     reason = None
     if stability != "unreproducible":
-        category = classify_reproduced(inputs.originals["fail"])
+        category = classify_reproduced(sides[0].original)
     else:
         reason = unreproducible_reason(mismatch_reasons)
     return ReproductionRecord(
-        pair_id=pair_id(pair),
+        pair_id=pid,
         attempts=attempts,
         stability=stability,
         category=category,

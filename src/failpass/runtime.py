@@ -30,7 +30,7 @@ DRAIN_TIMEOUT_S = 1.0
 
 
 class RuntimeUnavailable(Exception):
-    """The configured execution backend cannot run jobs on this host."""
+    """The configured execution backend cannot run jobs on this host, or one of its commands failed."""
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,14 @@ def _borrowed_object_dirs(worktree: Path) -> list[tuple[str, str]]:
     return dirs
 
 
+def _docker(*args: str) -> str:
+    """The stdout of one docker command; RuntimeUnavailable with docker's own message when it fails."""
+    proc = subprocess.run(["docker", *args], capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeUnavailable(f"docker {args[0]} failed: {proc.stderr.strip() or f'exit status {proc.returncode}'}")
+    return proc.stdout
+
+
 class DockerRuntime:
     """Shells out to the docker CLI.
 
@@ -204,7 +212,7 @@ class DockerRuntime:
         return result
 
     def fetch_image(self, image: str) -> None:
-        subprocess.run(["docker", "pull", image], check=True)
+        _docker("pull", image)
 
     def shell(self, image: str, label: str) -> int:
         proc = subprocess.run(
@@ -213,12 +221,9 @@ class DockerRuntime:
         return proc.returncode
 
     def cleanup(self, label: str, purge: bool = False) -> None:
-        ids = subprocess.run(
-            ["docker", "ps", "-aq", "--filter", f"label=failpass-artifact={label}"],
-            capture_output=True, text=True, check=True,
-        ).stdout.split()
+        ids = _docker("ps", "-aq", "--filter", f"label=failpass-artifact={label}").split()
         if ids:
-            subprocess.run(["docker", "rm", "-f", *ids], check=True)
+            _docker("rm", "-f", *ids)
         if purge:
             subprocess.run(["docker", "rmi", "-f", label], check=False)
 

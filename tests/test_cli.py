@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from failpass import cli
+from failpass import cli, reproducer
 from failpass.cli import _write_jsonl, main
 from failpass.connector import FixtureConnector
 from failpass.model import JobPair
@@ -417,6 +417,15 @@ class TestStoreCommands:
             main(["artifact", "fetch", "nope-1", "--store", str(seeded_store)])
         assert exc.value.code == "failpass: artifact not found: nope-1"
 
+    @pytest.mark.parametrize("action, command", [("fetch", "pull"), ("cleanup", "ps")])
+    def test_a_failed_docker_command_ends_in_one_line(self, seeded_store, tmp_path, monkeypatch, action, command):
+        stub_docker(tmp_path, monkeypatch, "exit 0",
+                    **{command: 'echo "Error response from daemon: manifest unknown" >&2; exit 1'})
+        with pytest.raises(SystemExit) as exc:
+            main(["artifact", action, "acme-widgets-11", "--store", str(seeded_store)])
+        # a string code is printed to stderr, with exit status 1
+        assert exc.value.code == f"failpass: docker {command} failed: Error response from daemon: manifest unknown"
+
 
 @pytest.fixture()
 def pyproj_verdicts(e2e_root, catalog_path, tmp_path) -> Path:
@@ -547,6 +556,27 @@ class TestUserInputErrors:
                 "reproduce": ["reproduce", "--verdicts", str(path)]}
         message = fails_in_one_line([*argv[command], "--fixture", str(widgets_root)], tmp_path / "out.jsonl")
         assert message == f"failpass: {path}: {reason}"
+
+    def test_missing_log_file_names_it(self, tmp_path):
+        path = tmp_path / "absent.log"
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(path), "--language", "java"])
+        assert exc.value.code == f"failpass: {path}: No such file or directory"
+
+    @pytest.mark.parametrize("command", ["mine", "filter", "reproduce"])
+    def test_out_in_a_missing_directory_names_it_before_any_pair_runs(self, e2e_root, catalog_path, pyproj_verdicts,
+                                                                       tmp_path, monkeypatch, command):
+        monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
+        runs = []
+        monkeypatch.setattr(reproducer, "run_job", lambda *a, **k: runs.append(a))
+        out = tmp_path / "absent" / "out.jsonl"
+        argv = {"mine": ["mine", "acme/pyproj", "--language", "python"],
+                "filter": ["filter", "--pairs", str(tmp_path / "pairs.jsonl"), "--catalog", str(catalog_path)],
+                "reproduce": ["reproduce", "--verdicts", str(pyproj_verdicts),
+                              "--output-dir", str(tmp_path / "output")]}[command]
+        message = fails_in_one_line([*argv, "--fixture", str(e2e_root)], out)
+        assert message == f"failpass: {out}: No such file or directory"
+        assert runs == [] and not (tmp_path / "output").exists()
 
     def test_range_term_on_a_string_in_a_number_field_names_store_and_term(self, seeded_store):
         _append_edited_line(seeded_store, num_files_changed="12")

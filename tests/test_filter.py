@@ -89,11 +89,6 @@ class TestDockerEra:
     def test_non_container_worker_rejected(self):
         assert not is_docker_era(self._m(LOG_TS, name="vm-legacy-01"))
 
-    def test_custom_cutoff(self):
-        cutoff = datetime(2016, 1, 1, tzinfo=timezone.utc)
-        assert not is_docker_era(self._m("2015-06-01T00:00:00Z"), cutoff=cutoff)
-        assert is_docker_era(self._m("2016-06-01T00:00:00Z"), cutoff=cutoff)
-
     def test_default_cutoff_value(self):
         assert DEFAULT_DOCKER_CUTOFF == datetime(2014, 12, 1, tzinfo=timezone.utc)
 

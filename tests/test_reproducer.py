@@ -8,6 +8,7 @@ import shutil
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
@@ -298,12 +299,14 @@ class TestJobRunEndsWithItsShell:
 DAEMON_DOWN = "Cannot connect to the Docker daemon at unix:///var/run/docker.sock. Is the docker daemon running?"
 
 
-def stub_docker(tmp_path, monkeypatch, version: str, run: str = "exit 0") -> None:
-    """Put a fake ``docker`` first on PATH; ``version``/``run`` are its shell bodies."""
+def stub_docker(tmp_path, monkeypatch, version: str, run: str = "exit 0", pull: str = "exit 0",
+                ps: str = "exit 0") -> None:
+    """Put a fake ``docker`` first on PATH; ``version``/``run``/``pull``/``ps`` are its shell bodies."""
     bindir = tmp_path / "stub-bin"
     bindir.mkdir()
     stub = bindir / "docker"
-    stub.write_text(f'#!/bin/sh\ncase "$1" in\n  version) {version} ;;\n  run) {run} ;;\nesac\n')
+    stub.write_text(f'#!/bin/sh\ncase "$1" in\n  version) {version} ;;\n  run) {run} ;;\n'
+                    f'  pull) {pull} ;;\n  ps) {ps} ;;\nesac\n')
     stub.chmod(0o755)
     monkeypatch.setenv("PATH", f"{bindir}:{os.environ['PATH']}")
 
@@ -786,6 +789,52 @@ class TestWorkingCopies:
         assert (record.stability, record.category) == ("unreproducible", None)
         assert record.unreproducibility_reason == "project_specific"
         assert builds == {"fail": 2, "pass": 2}
+
+
+NOISY_LOG_BYTES = 2 << 20
+NOISE_LINE = "Downloading https://repo.example.org/maven2/org/acme/lib/1.0/lib"  # 63 characters and a newline
+
+
+def _noisy_script(body: str, exit_code: int) -> str:
+    """A job that prints ``NOISY_LOG_BYTES`` of download lines before its test output."""
+    return (f"#!/bin/sh\nyes {shlex.quote(NOISE_LINE)} | head -n {NOISY_LOG_BYTES // 64}\n"
+            f"cat <<'EOG'\n{body}EOG\nexit {exit_code}\n")
+
+
+class TestOneJobLogAtATime:
+    def test_a_pair_holds_one_job_log_at_a_time(self, catalog_path, tmp_path):
+        """Each attempt's log goes to the sink when its job ends and is not kept, so 2n logs are never held."""
+        root = tmp_path / "noisy-world"
+        slug = "acme/noisy"
+        shas = make_repo(root / slug / "repo", [{"run_tests.sh": _noisy_script(PYTEST_FAIL_BODY, 1)},
+                                                {"run_tests.sh": _noisy_script(PYTEST_PASS_BODY, 0)}])
+        cfg = {"language": "python", "script": ["./run_tests.sh"]}
+        write_project(root, slug, [
+            build_record(501, "failed", "push", "master", "2017-02-01T00:00:00Z",
+                         [job_record(5001, "failed", cfg)], trigger_sha=shas[0]),
+            build_record(502, "passed", "push", "master", "2017-02-02T00:00:00Z",
+                         [job_record(5002, "passed", cfg)], trigger_sha=shas[1]),
+        ], {5001: wrap_original_log(PYTEST_FAIL_BODY, 1), 5002: wrap_original_log(PYTEST_PASS_BODY, 0)})
+        pair, verdict = _mined_verdict(root, slug, "python", catalog_path)
+        ctx = _context_for(root, slug, "python", tmp_path)
+        sizes = []
+
+        def sink(pid, attempt, side, text):
+            path = tmp_path / "logs" / f"{attempt}-{side}.log"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(text)
+            sizes.append(len(text))
+
+        ctx.log_sink = sink
+        tracemalloc.start()
+        try:
+            record = stability_protocol(pair, verdict, ctx, n=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert record.attempts == [(True, True)] * 5
+        assert len(sizes) == 10 and min(sizes) > NOISY_LOG_BYTES
+        assert peak < 6 * NOISY_LOG_BYTES, f"peak {peak / NOISY_LOG_BYTES:.1f}x the log size"
 
 
 GIT_REPORTING_SCRIPT = """#!/bin/sh
