@@ -7,6 +7,7 @@ immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import functools
 import json
 import operator
@@ -225,6 +226,8 @@ def _open_temp(path: Path):
     """``(tmp, file)``: ``.<name>.<pid>.tmp`` beside ``path``, open for writing; an OSError names ``path``."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        if path.is_dir():  # refused before anything is written: os.replace could not put a file over it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         return tmp, open(tmp, "wb")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None

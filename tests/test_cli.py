@@ -564,19 +564,27 @@ class TestUserInputErrors:
         assert exc.value.code == f"failpass: {path}: No such file or directory"
 
     @pytest.mark.parametrize("command", ["mine", "filter", "reproduce"])
-    def test_out_in_a_missing_directory_names_it_before_any_pair_runs(self, e2e_root, catalog_path, pyproj_verdicts,
-                                                                       tmp_path, monkeypatch, command):
+    @pytest.mark.parametrize("make, reason", [
+        (lambda out: None, "No such file or directory"),
+        (lambda out: out.mkdir(parents=True), "Is a directory"),
+    ], ids=["in_a_missing_directory", "a_directory"])
+    def test_an_out_that_cannot_be_written_is_named_before_any_pair_runs(self, e2e_root, catalog_path,
+                                                                          pyproj_verdicts, tmp_path, monkeypatch,
+                                                                          command, make, reason):
         monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
         runs = []
         monkeypatch.setattr(reproducer, "run_job", lambda *a, **k: runs.append(a))
         out = tmp_path / "absent" / "out.jsonl"
+        make(out)
         argv = {"mine": ["mine", "acme/pyproj", "--language", "python"],
                 "filter": ["filter", "--pairs", str(tmp_path / "pairs.jsonl"), "--catalog", str(catalog_path)],
                 "reproduce": ["reproduce", "--verdicts", str(pyproj_verdicts),
                               "--output-dir", str(tmp_path / "output")]}[command]
-        message = fails_in_one_line([*argv, "--fixture", str(e2e_root)], out)
-        assert message == f"failpass: {out}: No such file or directory"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--fixture", str(e2e_root), "--out", str(out)])
+        assert exc.value.code == f"failpass: {out}: {reason}"
         assert runs == [] and not (tmp_path / "output").exists()
+        assert list(out.parent.glob(".*.tmp")) == []
 
     def test_range_term_on_a_string_in_a_number_field_names_store_and_term(self, seeded_store):
         _append_edited_line(seeded_store, num_files_changed="12")
