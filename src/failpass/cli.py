@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 from . import analyzer
-from .connector import CloneScope, ConnectorError, ProjectNotFound, make_connector
+from .connector import ConnectorError, ProjectNotFound, make_connector
 from .miner import mine
 from .model import JobPair, check_writable, replace_file
 from .pairfilter import CatalogError, FilterVerdict, filter_pairs, load_catalog
@@ -93,33 +93,31 @@ def cmd_reproduce(args):
     raw_configs: dict[str, dict[int, dict]] = {}  # slug -> job_id -> raw config
     trees_edited = False  # carried from pair to pair: once a job changed its tree, every side runs in copies
     try:
-        # one clone per repository for the whole command; each tree gets a copy of its .git
-        with CloneScope() as clones:
-            for v in verdicts:
-                if v.image_ref is None:
-                    continue
-                slug = v.pair.project.slug
-                if slug not in raw_configs:
-                    try:
-                        raw_records = connector.fetch_raw_records(slug)
-                    except ProjectNotFound as exc:  # gone since filter: its pairs run with no job configuration
-                        print(f"failpass: {exc}", file=sys.stderr)
-                        raw_records = []
-                    raw_configs[slug] = {j["job_id"]: j["config"] for r in raw_records for j in r.get("jobs", [])}
-                with tempfile.TemporaryDirectory(prefix="failpass-scratch-", ignore_cleanup_errors=True) as scratch:
-                    ctx = ReproductionContext(
-                        connector=connector,
-                        runtime=runtime,
-                        language=v.pair.project.primary_language,
-                        raw_configs=raw_configs[slug],
-                        scratch_dir=Path(scratch),
-                        timeout_s=args.timeout_s,
-                        log_sink=log_sink,
-                        clones=clones,
-                        trees_edited=trees_edited,
-                    )
-                    records.append(stability_protocol(v.pair, v, ctx, n=args.repeats))
-                    trees_edited = ctx.trees_edited
+        for v in verdicts:
+            if v.image_ref is None:
+                continue
+            slug = v.pair.project.slug
+            if slug not in raw_configs:
+                try:
+                    raw_records = connector.fetch_raw_records(slug)
+                except ProjectNotFound as exc:  # gone since filter: its pairs run with no job configuration
+                    print(f"failpass: {exc}", file=sys.stderr)
+                    raw_records = []
+                raw_configs[slug] = {j["job_id"]: j["config"] for r in raw_records for j in r.get("jobs", [])}
+            out_dir.mkdir(parents=True, exist_ok=True)  # one that cannot be made ends the command before a job runs
+            with tempfile.TemporaryDirectory(prefix="failpass-scratch-", ignore_cleanup_errors=True) as scratch:
+                ctx = ReproductionContext(
+                    connector=connector,
+                    runtime=runtime,
+                    language=v.pair.project.primary_language,
+                    raw_configs=raw_configs[slug],
+                    scratch_dir=Path(scratch),
+                    timeout_s=args.timeout_s,
+                    log_sink=log_sink,
+                    trees_edited=trees_edited,
+                )
+                records.append(stability_protocol(v.pair, v, ctx, n=args.repeats))
+                trees_edited = ctx.trees_edited
     except BaseException:
         # an engine failure, a builds file that cannot be read or an interrupt ends the run; the pairs
         # that finished before it keep their records

@@ -1,10 +1,10 @@
-"""Uniform access to CI build histories, job logs, git clones, and archives.
+"""Uniform access to CI build histories, job logs, git repositories, and archives.
 
 The one backend reads a local directory tree: one directory per project
 with ``builds.json``, ``logs/<job_id>.txt``, ``archive/<sha>.zip`` and a
-git clone in ``repo/``. That layout is the interchange format for data
-exported from a CI service and a code host. The directory comes from
-``--fixture`` or FAILPASS_FIXTURE_DIR.
+git repository, bare or not, in ``repo/``. That layout is the interchange
+format for data exported from a CI service and a code host. The directory
+comes from ``--fixture`` or FAILPASS_FIXTURE_DIR.
 """
 
 from __future__ import annotations
@@ -14,12 +14,11 @@ import os
 import shlex
 import shutil
 import subprocess
-import tempfile
 import zipfile
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .model import SHA_RE, Build, Event, Job, Status, config_fingerprint, parse_timestamp
+from .model import SHA_RE, Build, Event, Job, Status, config_fingerprint, parse_timestamp, replace_file
 
 
 class ConnectorError(Exception):
@@ -204,71 +203,48 @@ def known_commits(repo: os.PathLike, shas: Iterable[str]) -> frozenset[str]:
     return frozenset(sha for sha, answer in zip(names, answers) if answer == "commit")
 
 
-class CloneScope:
-    """The one ``--no-checkout`` clone of each repository that ``clone_at`` was given this scope for.
+def clone_at(repo: os.PathLike, sha: str, dest: os.PathLike) -> Path:
+    """Make ``dest`` a repository that borrows the source's objects, and check out sha.
 
-    Each clone is made on its repository's first use, in one
-    ``failpass-clones-*`` temporary directory that ``close`` (or the end of
-    a ``with`` block) removes. A tree built from the scope holds no path
-    into that directory, so it outlives the scope.
+    ``dest/.git`` is written here: ``HEAD`` names an unborn branch,
+    ``config`` turns off reflogs, which nothing reads, for every git command
+    in the tree, ``objects/info/alternates`` holds the absolute path of the
+    source's object store (``repo/.git/objects``, or ``repo/objects`` of a
+    bare repository) and ``refs/`` is empty. One ``git checkout`` then
+    detaches HEAD at sha and writes sha's files and the index, once. No
+    object is copied and every object of the source stays reachable, commits
+    no ref reaches included; the tree has no branch, tag or remote. A source
+    with no object store, a ``dest`` that cannot be made or a failed checkout
+    raises ConnectorError, and a failure after ``dest`` was made removes it.
     """
-
-    def __init__(self):
-        self._dir = tempfile.TemporaryDirectory(prefix="failpass-clones-", ignore_cleanup_errors=True)
-        self._clones: dict[str, Path] = {}
-
-    def __enter__(self) -> CloneScope:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def close(self) -> None:
-        self._dir.cleanup()
-
-    def git_dir(self, repo: os.PathLike) -> Path:
-        """The ``.git`` of the scope's clone of ``repo``, cloned now if this is the repository's first use."""
-        key = os.fspath(repo)
-        clone = self._clones.get(key)
-        if clone is None:
-            clone = Path(self._dir.name) / str(len(self._clones))
-            _clone(repo, clone)
-            self._clones[key] = clone
-        return clone / ".git"
-
-
-def _clone(repo: os.PathLike, dest: Path) -> None:
-    _run_git(["git", "clone", "--quiet", "--template=", "--shared", "--no-checkout",
-              "--config", "core.logAllRefUpdates=false", str(repo), str(dest)])
-
-
-def clone_at(repo: os.PathLike, sha: str, dest: os.PathLike, clones: Optional[CloneScope] = None) -> Path:
-    """Clone a local repository and check out sha.
-
-    The clone borrows the source's object store (``--shared`` writes
-    ``.git/objects/info/alternates``), so it copies no object and every
-    object of the source stays reachable, commits no ref reaches included.
-    ``--no-checkout`` writes only sha's files, once. The empty template
-    leaves out git's inactive sample hooks, and the clone's config turns off
-    reflogs, which nothing reads, for every git command in it. With
-    ``clones`` the clone is made once per repository and ``dest`` gets a copy
-    of its ``.git``, which holds the same files. A failed git command or
-    copy raises ConnectorError.
-    """
-    dest = Path(dest)
-    if clones is None:
-        _clone(repo, dest)
-    else:
-        try:
-            shutil.copytree(clones.git_dir(repo), dest / ".git", symlinks=True)
-        except OSError as exc:
-            raise ConnectorError(f"copying the clone of {repo} to {dest}: {exc}") from exc
-    _git(dest, "checkout", "--quiet", sha)
+    repo, dest = Path(repo), Path(dest)
+    store = next((d for d in (repo / ".git" / "objects", repo / "objects") if d.is_dir()), None)
+    if store is None:
+        raise ConnectorError(f"no git object store in {repo}")
+    try:
+        dest.mkdir(parents=True)
+    except OSError as exc:
+        raise ConnectorError(f"cannot make the tree {dest}: {exc.strerror}") from exc
+    git_dir = dest / ".git"
+    try:
+        (git_dir / "objects" / "info").mkdir(parents=True)
+        (git_dir / "refs").mkdir()
+        for name, text in (("HEAD", "ref: refs/heads/master\n"),
+                           ("config", "[core]\n\trepositoryformatversion = 0\n\tlogAllRefUpdates = false\n"),
+                           ("objects/info/alternates", f"{store.resolve()}\n")):
+            replace_file(git_dir / name, [text.encode()])
+    except OSError as exc:
+        shutil.rmtree(dest, ignore_errors=True)
+        raise ConnectorError(f"writing {git_dir}: {exc}") from exc
+    try:
+        _git(dest, "checkout", "--quiet", sha)
+    except ConnectorError:
+        shutil.rmtree(dest, ignore_errors=True)
+        raise
     return dest
 
 
-def merge_tree(repo: os.PathLike, base_sha: str, trigger_sha: str, dest: os.PathLike,
-               clones: Optional[CloneScope] = None) -> Path:
+def merge_tree(repo: os.PathLike, base_sha: str, trigger_sha: str, dest: os.PathLike) -> Path:
     """Recreate a service-style temporary merge of trigger into base.
 
     The merge commit's author and committer dates are the trigger's
@@ -276,7 +252,7 @@ def merge_tree(repo: os.PathLike, base_sha: str, trigger_sha: str, dest: os.Path
     commit. The merge starts no background maintenance. A failed git
     command, a conflict included, raises ConnectorError and removes ``dest``.
     """
-    dest = clone_at(repo, base_sha, dest, clones)
+    dest = clone_at(repo, base_sha, dest)
     try:
         date = _git(dest, "show", "-s", "--format=%cd", "--date=raw", f"{trigger_sha}^{{commit}}").stdout.strip()
         _git(dest, "-c", "user.email=failpass@localhost", "-c", "user.name=failpass", "-c", "maintenance.auto=false",

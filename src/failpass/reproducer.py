@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import analyzer
-from .connector import CloneScope, ConnectorError, clone_at, merge_tree
+from .connector import ConnectorError, clone_at, merge_tree
 from .model import Availability, CommitCoordinates, JobPair, RecoverySource, json_record
 from .pairfilter import FilterVerdict
 from .runtime import SCRATCH_ENV, ExecResult
@@ -137,18 +137,16 @@ def generate_job_script(config: dict) -> str:
     return script
 
 
-def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetch, dest: Path,
-                   clones: Optional[CloneScope] = None) -> WorkTree:
+def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetch, dest: Path) -> WorkTree:
     """Materialize the tree the CI job saw.
 
     Push builds clone and reset to the trigger; PR builds recreate the
     phantom merge when both parents are in history; otherwise the
     code-host zip archive is extracted. ``archive_fetch(sha, dest)``
     returns the extracted content root or None; that root is renamed to
-    ``dest``, which must not exist yet. A git-built tree is checked out
-    from ``clones``' clone of ``repo`` when given (see ``clone_at``). A git
-    command that fails, or an archive that cannot be read, raises
-    ConnectorError.
+    ``dest``, which must not exist yet. A git-built tree borrows ``repo``'s
+    objects (see ``clone_at``). A git command that fails, or an archive that
+    cannot be read, raises ConnectorError.
     """
     if coords.availability is not Availability.AVAILABLE:
         raise ReproductionError("state unrecoverable", "project_specific")
@@ -157,9 +155,9 @@ def revert_project(coords: CommitCoordinates, repo: Optional[Path], archive_fetc
         if repo is None:
             raise ReproductionError("repository clone missing", "project_specific")
         if coords.base_sha is None:
-            clone_at(repo, coords.trigger_sha, dest, clones)
+            clone_at(repo, coords.trigger_sha, dest)
             return WorkTree(root=dest, construction="clone_reset")
-        merge_tree(repo, coords.base_sha, coords.trigger_sha, dest, clones)
+        merge_tree(repo, coords.base_sha, coords.trigger_sha, dest)
         return WorkTree(root=dest, construction="phantom_merge")
     content_root = archive_fetch(coords.merge_sha or coords.trigger_sha, dest.parent / (dest.name + "-zip"))
     if content_root is None:
@@ -215,7 +213,6 @@ class ReproductionContext:
     scratch_dir: Optional[Path] = None
     timeout_s: float = DEFAULT_TIMEOUT_S
     log_sink: Optional[object] = None  # callable(pair_id, attempt, side, text)
-    clones: Optional[CloneScope] = None  # one clone per repository for git-built trees; without it each is a clone
     trees_edited: bool = False  # a job has changed its tree (here or in an earlier pair): sides run in copies
 
     def original_attributes(self, job_id: int) -> Optional[analyzer.LogAttributes]:
@@ -355,7 +352,7 @@ class _Side:
         archive_fetch = lambda sha, d: ctx.connector.fetch_archive_snapshot(self._slug, sha, d)
         try:
             self.tree = revert_project(self.coords, ctx.connector.repo_path(self._slug), archive_fetch,
-                                       parent / self.name, clones=ctx.clones)
+                                       parent / self.name)
         except ReproductionError as exc:
             self.reason = exc.reason
             return False

@@ -136,7 +136,7 @@ class LocalRuntime:
 def _borrowed_object_dirs(worktree: Path) -> list[tuple[str, str]]:
     """(host path, path in the container) of each object store the worktree's git borrows from.
 
-    A ``clone --shared`` lists the source's object store in
+    A tree that ``clone_at`` built lists the source's object store in
     ``.git/objects/info/alternates``, and that store may list further ones.
     A relative entry is relative to the store whose alternates file lists
     it. On the host that gives the directory to mount; in the container,

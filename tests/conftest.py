@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
-# the program's temp directories: each pair's trees, each pair's job scratch space, the clones of a
-# clone scope, and the per-attempt trees it made before each side's tree was built once
+# the program's temp directories: each pair's trees and each pair's job scratch space; and two it made
+# once, kept so neither comes back unseen: per-attempt trees, and per-command clones of each repository
 PROGRAM_TEMP_PREFIXES = ("failpass-pair-", "failpass-attempt-", "failpass-scratch-", "failpass-clones-")
+# every entry of a tree's .git that clone_at leaves: git's own files, the source's object store borrowed
+TREE_GIT_DIR = ["HEAD", "config", "index", "objects", "objects/info", "objects/info/alternates", "refs"]
 
 
 @pytest.fixture(autouse=True)
@@ -51,8 +53,18 @@ def record_git_commands(monkeypatch) -> list[list[str]]:
     return started
 
 
-def git_clones(commands: list[list[str]]) -> list[list[str]]:
-    return [argv for argv in commands if argv[1] == "clone"]
+def git_verb(argv: list[str]) -> str:
+    """The git command of one argv: its first word after ``git`` and any ``-C``/``-c`` options."""
+    k = 1
+    while argv[k] in ("-C", "-c"):
+        k += 2
+    return argv[k]
+
+
+def git_dir_entries(tree: Path) -> list[str]:
+    """Every path under the tree's ``.git``, relative to it, sorted."""
+    git_dir = Path(tree) / ".git"
+    return sorted(p.relative_to(git_dir).as_posix() for p in git_dir.rglob("*"))
 
 
 WORKER = "worker-garnet-1512502259"

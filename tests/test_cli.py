@@ -23,7 +23,7 @@ from conftest import (
     PYTEST_FAIL_BODY,
     PYTEST_PASS_BODY,
     build_record,
-    git_clones,
+    git_verb,
     job_record,
     make_repo,
     record_git_commands,
@@ -273,7 +273,7 @@ def test_reproduce_never_writes_to_the_fixture_repo(catalog_path, tmp_path, monk
     assert tree_snapshot(repo) == before
 
 
-def test_reproduce_clones_each_repository_once(e2e_root, catalog_path, tmp_path, monkeypatch):
+def test_reproduce_builds_each_tree_with_one_checkout_and_no_clone(e2e_root, catalog_path, tmp_path, monkeypatch):
     monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
     slugs = ("acme/javaproj", "acme/pyproj", "acme/flaky")
     verdicts, records = tmp_path / "verdicts.jsonl", tmp_path / "records.jsonl"
@@ -289,9 +289,8 @@ def test_reproduce_clones_each_repository_once(e2e_root, catalog_path, tmp_path,
                "--timeout-s", "60", "--out", str(records), "--output-dir", str(tmp_path / "output")])
     assert rc == 0
     assert [r["stability"] for r in read_jsonl(records)] == ["reproducible"] * 2 + ["flaky"]
-    # six trees, one per pair side, from one clone per repository
-    assert sorted(argv[-2] for argv in git_clones(commands)) == sorted(str(e2e_root / s / "repo") for s in slugs)
-    assert len([argv for argv in commands if argv[3:4] == ["checkout"]]) == 6
+    # six trees, one per pair side, each one git process
+    assert [git_verb(argv) for argv in commands] == ["checkout"] * 6
 
 
 def test_once_a_job_edits_its_tree_later_pairs_build_each_side_once(catalog_path, tmp_path, monkeypatch):
@@ -585,6 +584,20 @@ class TestUserInputErrors:
         assert exc.value.code == f"failpass: {out}: {reason}"
         assert runs == [] and not (tmp_path / "output").exists()
         assert list(out.parent.glob(".*.tmp")) == []
+
+    def test_an_output_dir_that_cannot_be_made_is_named_before_any_job_runs(self, e2e_root, pyproj_verdicts,
+                                                                            tmp_path, monkeypatch):
+        monkeypatch.setattr("failpass.cli.default_runtime", LocalRuntime)
+        runs = []
+        real_run_job = reproducer.run_job
+        monkeypatch.setattr(reproducer, "run_job", lambda *a, **k: runs.append(a) or real_run_job(*a, **k))
+        afile, out = tmp_path / "afile", tmp_path / "out.jsonl"
+        afile.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--verdicts", str(pyproj_verdicts), "--fixture", str(e2e_root), "--out", str(out),
+                  "--output-dir", str(afile / "o")])
+        assert exc.value.code == f"failpass: {afile / 'o'}: Not a directory"
+        assert runs == [] and not out.exists()
 
     def test_range_term_on_a_string_in_a_number_field_names_store_and_term(self, seeded_store):
         _append_edited_line(seeded_store, num_files_changed="12")

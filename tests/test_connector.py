@@ -1,16 +1,11 @@
-import os
-import stat
-import subprocess
+import re
 import time
 import zipfile
-from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
-from failpass import connector
 from failpass.connector import (
-    CloneScope,
     ConnectorError,
     CorruptArchiveError,
     FixtureConnector,
@@ -21,7 +16,18 @@ from failpass.connector import (
     merge_tree,
 )
 from failpass.model import Status
-from conftest import add_branch, fake_sha, git, git_clones, make_repo, record_git_commands, write_project
+from conftest import (
+    TREE_GIT_DIR,
+    add_branch,
+    commit_files,
+    fake_sha,
+    git,
+    git_dir_entries,
+    git_verb,
+    make_repo,
+    record_git_commands,
+    write_project,
+)
 
 
 class TestFetchBuildHistory:
@@ -121,106 +127,81 @@ class TestCommitExists:
         assert (tree / "f").read_text() == "1\n"
 
 
-CLONE = ["git", "clone", "--quiet", "--template=", "--shared", "--no-checkout",
-         "--config", "core.logAllRefUpdates=false"]
-
-
-def files_under(root: Path) -> dict[str, tuple]:
-    """Every entry under root: a directory's mode, a file's mode and bytes, a symlink's target."""
-    out = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        for name in dirnames + filenames:
-            path = os.path.join(dirpath, name)
-            st = os.lstat(path)
-            rel = os.path.relpath(path, root)
-            if stat.S_ISLNK(st.st_mode):
-                out[rel] = ("link", os.readlink(path))
-            elif stat.S_ISDIR(st.st_mode):
-                out[rel] = ("dir", st.st_mode)
-            else:
-                out[rel] = ("file", st.st_mode, Path(path).read_bytes())
-    return out
-
-
 @pytest.fixture()
 def two_commits(tmp_path):
     repo = tmp_path / "repo"
     return repo, make_repo(repo, [{"f": "1\n"}, {"f": "2\n"}])
 
 
-class TestCloneScope:
-    def test_one_clone_per_repository_and_each_tree_gets_a_copy_of_its_git_dir(self, tmp_path, two_commits,
-                                                                               monkeypatch):
-        repo, shas = two_commits
-        other = tmp_path / "other"
-        (other_sha,) = make_repo(other, [{"g": "x\n"}])
-        commands = record_git_commands(monkeypatch)
-        copied = []  # each tree's .git as its checkout finds it
-        real_git = connector._git
+class TestTreeRepository:
+    """``clone_at`` writes the tree's ``.git`` itself over the source's object store and starts one git process."""
 
-        def recording_git(where, *args, **kwargs):
-            if args[:1] == ("checkout",):
-                copied.append(files_under(Path(where) / ".git"))
-            return real_git(where, *args, **kwargs)
-
-        monkeypatch.setattr(connector, "_git", recording_git)
-        with CloneScope() as clones:
-            trees = [clone_at(repo, shas[k % 2], tmp_path / f"tree-{k}", clones) for k in range(4)]
-            other_tree = clone_at(other, other_sha, tmp_path / "other-tree", clones)
-        clones = git_clones(commands)
-        assert [argv[:-1] for argv in clones] == [[*CLONE, str(repo)], [*CLONE, str(other)]]
-        assert all(Path(argv[-1]).parent.name.startswith("failpass-clones-") for argv in clones)
-        fresh = tmp_path / "fresh"
-        subprocess.run([*CLONE, str(repo), str(fresh)], check=True)
-        assert copied[:4] == [files_under(fresh / ".git")] * 4
-        for k, tree in enumerate(trees):
-            assert (tree / "f").read_text() == f"{k % 2 + 1}\n"
-            assert git(tree, "rev-parse", "HEAD").stdout.strip() == shas[k % 2]
-            assert git(tree, "status", "--porcelain").stdout == ""
-        assert (other_tree / "g").read_text() == "x\n"
-
-    def test_trees_outlive_the_scope_and_borrow_only_the_source(self, tmp_path, two_commits):
-        repo, shas = two_commits
-        with CloneScope() as clones:
-            tree = clone_at(repo, shas[0], tmp_path / "tree", clones)
-            merged = merge_tree(repo, shas[0], shas[1], tmp_path / "merged", clones)
-        for t in (tree, merged):
-            (alternate,) = (t / ".git" / "objects" / "info" / "alternates").read_text().split()
-            assert Path(alternate).resolve() == (repo / ".git" / "objects").resolve()
-            assert git(t, "status", "--porcelain").stdout == ""
-            assert not (t / ".git" / "logs").exists()
-            assert list((t / ".git").glob("hooks/*.sample")) == []
-        assert git(tree, "log", "--format=%H").stdout.split() == [shas[0]]
-        assert git(merged, "log", "-1", "--format=%P").stdout.split() == shas
-
-    def test_outside_a_scope_each_call_clones_into_its_destination(self, tmp_path, two_commits, monkeypatch):
+    def test_clone_at_starts_one_checkout_and_merge_tree_two_more_processes(self, tmp_path, two_commits,
+                                                                          monkeypatch):
         repo, shas = two_commits
         commands = record_git_commands(monkeypatch)
-        trees = [clone_at(repo, sha, tmp_path / f"tree-{k}") for k, sha in enumerate(shas)]
-        assert commands == [argv for tree, sha in zip(trees, shas)
-                            for argv in ([*CLONE, str(repo), str(tree)], ["git", "-C", str(tree), "checkout",
-                                                                          "--quiet", sha])]
-        assert [(t / "f").read_text() for t in trees] == ["1\n", "2\n"]
+        tree = clone_at(repo, shas[0], tmp_path / "tree")
+        assert commands == [["git", "-C", str(tree), "checkout", "--quiet", shas[0]]]
+        commands.clear()
+        merged = merge_tree(repo, shas[0], shas[1], tmp_path / "merged")
+        assert [git_verb(argv) for argv in commands] == ["checkout", "show", "merge"]
+        assert all(argv[:3] == ["git", "-C", str(merged)] for argv in commands)
 
-    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
-    def test_a_failed_git_command_raises_connector_error_with_gits_message(self, tmp_path, two_commits, scoped):
+    def test_the_trees_git_dir_holds_head_config_index_alternates_and_empty_refs(self, tmp_path, two_commits):
         repo, shas = two_commits
-        with CloneScope() if scoped else nullcontext() as clones:
-            with pytest.raises(ConnectorError, match=r"checkout --quiet 0{40} exited with 128: fatal: "):
-                clone_at(repo, "0" * 40, tmp_path / "missing-sha", clones)
-            with pytest.raises(ConnectorError, match=r"git clone .* exited with 128: fatal: "):
-                clone_at(tmp_path / "no-repo", shas[0], tmp_path / "missing-repo", clones)
-            # a failed clone is not remembered: the scope clones the repository when asked again
-            assert (clone_at(repo, shas[1], tmp_path / "tree", clones) / "f").read_text() == "2\n"
+        tree = clone_at(repo, shas[1], tmp_path / "tree")
+        assert git_dir_entries(tree) == TREE_GIT_DIR
+        # HEAD is detached at the commit: the tree has no branch, tag or remote
+        assert (tree / ".git" / "HEAD").read_text() == f"{shas[1]}\n"
+        assert git(tree, "for-each-ref").stdout == ""
+        assert git(tree, "config", "--local", "--list").stdout.splitlines() == [
+            "core.repositoryformatversion=0", "core.logallrefupdates=false"]
 
-    def test_a_failed_scope_removes_its_clones(self, tmp_path, two_commits):
+    @pytest.mark.parametrize("bare", [False, True], ids=["non-bare", "bare"])
+    def test_the_tree_borrows_the_sources_object_store_and_history(self, tmp_path, two_commits, bare):
         repo, shas = two_commits
-        with pytest.raises(ConnectorError):
-            with CloneScope() as clones:
-                clone_at(repo, shas[0], tmp_path / "tree", clones)
-                clone_at(repo, "0" * 40, tmp_path / "bad", clones)
-        # the leak guard fails the test if a failpass-clones-* directory is left; the tree itself stays
-        assert (tmp_path / "tree" / "f").read_text() == "1\n"
+        unreachable = commit_files(repo, {"f": "3\n"}, "commit 2")
+        git(repo, "reset", "-q", "--hard", shas[1])
+        source, store = repo, repo / ".git" / "objects"
+        if bare:
+            source = tmp_path / "bare.git"
+            git(tmp_path, "init", "-q", "--bare", str(source))
+            git(repo, "push", "-q", str(source), f"{unreachable}:refs/heads/master")
+            git(source, "update-ref", "refs/heads/master", shas[1])
+            store = source / "objects"
+        tree = clone_at(source, shas[1], tmp_path / "tree")
+        (alternate,) = (tree / ".git" / "objects" / "info" / "alternates").read_text().splitlines()
+        assert Path(alternate).is_absolute() and Path(alternate) == store.resolve()
+        assert [p.name for p in (tree / ".git" / "objects").iterdir()] == ["info"]  # no object copied
+        assert git(tree, "status", "--porcelain").stdout == ""
+        assert git(tree, "log", "--format=%H").stdout.split() == shas[::-1]
+        # a commit no ref of the source reaches, as a phantom merge's parent may be
+        assert git(tree, "rev-parse", "--verify", "-q", f"{unreachable}^{{commit}}").stdout.strip() == unreachable
+        assert (tree / "f").read_text() == "2\n"
+
+    def test_a_source_with_no_object_store_raises_naming_it(self, tmp_path):
+        (tmp_path / "not-a-repo").mkdir()
+        for source in (tmp_path / "not-a-repo", tmp_path / "missing"):
+            with pytest.raises(ConnectorError, match=f"^no git object store in {re.escape(str(source))}$"):
+                clone_at(source, fake_sha(1), tmp_path / "tree")
+            assert not (tmp_path / "tree").exists()
+
+    def test_a_missing_sha_raises_gits_message_and_leaves_nothing_at_dest(self, tmp_path, two_commits):
+        repo, shas = two_commits
+        dest = tmp_path / "trees" / "tree"
+        with pytest.raises(ConnectorError, match=r"checkout --quiet 0{40} exited with 128: fatal: "):
+            clone_at(repo, "0" * 40, dest)
+        assert not dest.exists()
+        assert (clone_at(repo, shas[1], dest) / "f").read_text() == "2\n"
+
+    def test_a_dest_that_exists_is_refused_and_kept(self, tmp_path, two_commits):
+        repo, shas = two_commits
+        dest = tmp_path / "tree"
+        dest.mkdir()
+        (dest / "keep").write_text("kept\n")
+        with pytest.raises(ConnectorError, match=f"cannot make the tree {re.escape(str(dest))}: File exists"):
+            clone_at(repo, shas[0], dest)
+        assert [p.name for p in dest.iterdir()] == ["keep"]
 
 
 class TestMergeTree:
@@ -234,18 +215,16 @@ class TestMergeTree:
         assert any(" merge " in line for line in started)
         assert [line for line in started if "maintenance" in line] == []
 
-    @pytest.mark.parametrize("scoped", [False, True], ids=["unscoped", "scoped"])
-    def test_a_rebuilt_phantom_merge_is_the_same_commit(self, tmp_path, scoped):
+    def test_a_rebuilt_phantom_merge_is_the_same_commit(self, tmp_path):
         repo = tmp_path / "repo"
         master = make_repo(repo, [{"a": "1\n"}, {"b": "base\n"}])
         (trigger,) = add_branch(repo, "feature", master[0], [{"c": "feat\n"}])
         heads = []
-        with CloneScope() if scoped else nullcontext() as clones:
-            for k in range(2):
-                if k:
-                    time.sleep(1.1)  # a merge dated by the clock would get a later second
-                tree = merge_tree(repo, master[1], trigger, tmp_path / f"merged-{k}", clones)
-                heads.append(git(tree, "rev-parse", "HEAD").stdout.strip())
+        for k in range(2):
+            if k:
+                time.sleep(1.1)  # a merge dated by the clock would get a later second
+            tree = merge_tree(repo, master[1], trigger, tmp_path / f"merged-{k}")
+            heads.append(git(tree, "rev-parse", "HEAD").stdout.strip())
         assert heads[0] == heads[1]
         trigger_date = git(repo, "show", "-s", "--format=%cd", "--date=raw", trigger).stdout
         assert git(tree, "show", "-s", "--format=%ad%n%cd", "--date=raw", "HEAD").stdout == trigger_date * 2
@@ -270,8 +249,7 @@ class TestMergeTree:
         for k, (b, t, message) in enumerate(cases):
             with pytest.raises(ConnectorError, match=message):
                 merge_tree(repo, b, t, tmp_path / f"merge-{k}")
-            if k:  # the base was checked out, so the tree existed and is removed
-                assert not (tmp_path / f"merge-{k}").exists()
+            assert not (tmp_path / f"merge-{k}").exists()
 
 
 class TestArchiveSnapshot:

@@ -22,11 +22,13 @@ import io
 import json
 import shutil
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from failpass import cli, store
 from failpass.runtime import LocalRuntime
+from conftest import git_verb, record_git_commands
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "seed901.json"
@@ -49,6 +51,22 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _reproduce_argv(corpus, work: Path, run) -> list[str]:
+    """Run ``mine`` and ``filter`` for each project through ``run(label, argv)``; the argv of ``reproduce`` after them."""
+    fx, cat = str(corpus.fixture), str(corpus.catalog)
+    for k, (slug, lang) in enumerate(corpus.projects):
+        run(f"mine-{k}", ["mine", slug, "--fixture", fx, "--language", lang,
+                          "--out", str(work / f"pairs-{k}.jsonl")])
+    for k, _ in enumerate(corpus.projects):
+        run(f"filter-{k}", ["filter", "--pairs", str(work / f"pairs-{k}.jsonl"), "--catalog", cat,
+                            "--fixture", fx, "--out", str(work / f"verdicts-{k}.jsonl")])
+    verdicts = work / "verdicts.jsonl"
+    verdicts.write_bytes(b"".join((work / f"verdicts-{k}.jsonl").read_bytes()
+                                  for k, _ in enumerate(corpus.projects)))
+    return ["reproduce", "--verdicts", str(verdicts), "--fixture", fx, "--repeats", "5", "--timeout-s", "120",
+            "--out", str(work / "records.jsonl"), "--output-dir", str(work / "output")]
+
+
 def run_workload(root: Path, workload: str) -> dict[str, str]:
     """Output name -> sha256 for one workload's golden run under ``root`` (which must not exist)."""
     corpus = _bench_corpus().generate(root / "corpus", workload, SEED)
@@ -56,7 +74,6 @@ def run_workload(root: Path, workload: str) -> dict[str, str]:
     work.mkdir()
     store_path = work / "store.jsonl"
     shutil.copyfile(corpus.store, store_path)
-    fx, cat = str(corpus.fixture), str(corpus.catalog)
     digests: dict[str, str] = {}
 
     def run(label: str, argv: list[str]) -> None:
@@ -67,18 +84,7 @@ def run_workload(root: Path, workload: str) -> dict[str, str]:
         digests[f"{workload}/{label}.stdout"] = _sha(out.getvalue().encode())
         digests[f"{workload}/{label}.stderr"] = _sha(err.getvalue().encode())
 
-    for k, (slug, lang) in enumerate(corpus.projects):
-        run(f"mine-{k}", ["mine", slug, "--fixture", fx, "--language", lang,
-                          "--out", str(work / f"pairs-{k}.jsonl")])
-    for k, _ in enumerate(corpus.projects):
-        run(f"filter-{k}", ["filter", "--pairs", str(work / f"pairs-{k}.jsonl"), "--catalog", cat,
-                            "--fixture", fx, "--out", str(work / f"verdicts-{k}.jsonl")])
-    verdicts = work / "verdicts.jsonl"
-    verdicts.write_bytes(b"".join((work / f"verdicts-{k}.jsonl").read_bytes()
-                                  for k, _ in enumerate(corpus.projects)))
-    run("reproduce", ["reproduce", "--verdicts", str(verdicts), "--fixture", fx, "--repeats", "5",
-                      "--timeout-s", "120", "--out", str(work / "records.jsonl"),
-                      "--output-dir", str(work / "output")])
+    run("reproduce", _reproduce_argv(corpus, work, run))
     for i, op in enumerate(corpus.reads):
         if op[0] == "append":
             store.ArtifactStore(store_path).persist(store.ArtifactMetadata.from_dict(op[1]))
@@ -110,6 +116,20 @@ def test_outputs_keep_their_bytes(tmp_path, monkeypatch):
     extra = sorted(set(seen) - set(want))
     assert not (differ or missing or extra), (
         f"outputs that differ from {GOLDEN.name}: {differ}; missing: {missing}; not in it: {extra}")
+
+
+def test_reproduce_starts_one_git_process_per_clone_reset_tree_and_three_per_phantom_merge(tmp_path, monkeypatch):
+    """On the repro corpus, each of 6 clone-reset trees is one checkout and each of 2 phantom merges is a checkout,
+    a show and a merge; no repository is cloned."""
+    monkeypatch.setattr(cli, "default_runtime", LocalRuntime)
+    corpus = _bench_corpus().generate(tmp_path / "corpus", "repro", SEED)
+    work = tmp_path / "work"
+    work.mkdir()
+    with redirect_stderr(io.StringIO()):
+        argv = _reproduce_argv(corpus, work, lambda label, argv: cli.main(argv))
+        commands = record_git_commands(monkeypatch)
+        cli.main(argv)
+    assert Counter(map(git_verb, commands)) == {"checkout": 8, "show": 2, "merge": 2}
 
 
 if __name__ == "__main__":

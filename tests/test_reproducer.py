@@ -54,11 +54,13 @@ from failpass.runtime import (
 from conftest import (
     PYTEST_FAIL_BODY,
     PYTEST_PASS_BODY,
+    TREE_GIT_DIR,
     _e2e_project,
     add_branch,
     build_record,
     fake_sha,
     git,
+    git_dir_entries,
     job_record,
     make_repo,
     make_zip,
@@ -609,6 +611,21 @@ class TestSharedPairInputs:
         assert record.attempts == [(True, True)] * 5
         assert built == {"fail": 1, "pass": 1}
 
+    def test_each_job_finds_only_what_clone_at_wrote_in_its_git_dir(self, e2e_root, catalog_path, tmp_path,
+                                                                     monkeypatch):
+        seen = []
+        real_run_job = reproducer.run_job
+
+        def run_job_listing(script, image, tree, *args, **kwargs):
+            seen.append(git_dir_entries(tree.root))
+            return real_run_job(script, image, tree, *args, **kwargs)
+
+        monkeypatch.setattr(reproducer, "run_job", run_job_listing)
+        pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
+        ctx = _context_for(e2e_root, "acme/pyproj", "python", tmp_path)
+        assert stability_protocol(pair, verdict, ctx, n=2).attempts == [(True, True)] * 2
+        assert seen == [TREE_GIT_DIR] * 4
+
     def test_original_logs_parsed_once_per_job(self, e2e_root, catalog_path, tmp_path, monkeypatch):
         parsed = _counting(monkeypatch, ReproductionContext, "original_attributes", lambda a: a[1])
         pair, verdict = _mined_verdict(e2e_root, "acme/pyproj", "python", catalog_path)
@@ -770,11 +787,11 @@ class TestWorkingCopies:
         real = reproducer.revert_project
         builds = Counter()
 
-        def second_fail_build_fails(coords, repo, archive_fetch, dest, clones=None):
+        def second_fail_build_fails(coords, repo, archive_fetch, dest):
             builds[Path(dest).name] += 1
             if Path(dest).name == "fail" and builds["fail"] == 2:
                 raise ConnectorError("git checkout: fatal: unable to read tree")
-            return real(coords, repo, archive_fetch, dest, clones=clones)
+            return real(coords, repo, archive_fetch, dest)
 
         monkeypatch.setattr(reproducer, "revert_project", second_fail_build_fails)
         runs = _counting(monkeypatch, reproducer, "run_job", lambda a: a[2].root.name)
